@@ -1,0 +1,2 @@
+"""The repository benchmark (see ``perfbench/run.py`` and
+``perfbench/README.md``)."""
