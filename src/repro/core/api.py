@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..errors import LexError, OwnershipTypeError, ParseError
 from ..lang import ast, parse_program
@@ -50,6 +50,10 @@ class AnalyzedProgram:
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: per-run analysis-cache counters when a cache was used, else None
     cache_stats: Optional[Dict[str, int]] = None
+    #: derived artifacts (the lowering, bound generated code), keyed by
+    #: their producer; stored here so they are freed with the program
+    artifacts: Dict[str, Any] = field(default_factory=dict, repr=False,
+                                      compare=False)
 
     @property
     def well_typed(self) -> bool:

@@ -73,6 +73,11 @@ class ParseError(StaticError):
     """The input program does not conform to the grammar (Figure 13)."""
 
 
+class NestingError(ParseError):
+    """The input nests deeper than the parser's fixed bound
+    (:data:`repro.lang.parser.MAX_NESTING`)."""
+
+
 class OwnershipTypeError(StaticError):
     """A typing judgment of Appendix B failed.
 

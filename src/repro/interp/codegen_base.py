@@ -12,15 +12,19 @@ facts; this module holds the pieces the concrete emitters
   raising it is always safe and never user-visible as a failure;
 * name mangling and literal baking helpers;
 * the cost-model cache key (generated code bakes cost constants into
-  its text, so the compiled-source cache must key on them).
+  its text, so the compiled-source cache must key on them);
+* :func:`compile_generated`, which turns generated Python that the
+  host compiler rejects into a :class:`CodegenUnsupported`.
+
+Compiled artifacts are cached on the ``AnalyzedProgram`` itself
+(``analyzed.artifacts``), so they are freed with it.
 
 Nothing here knows about Python-vs-C specifics.
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import Any, Dict, List, Tuple
+from typing import Any, List, Tuple
 
 from ..rtsj.stats import CostModel
 
@@ -52,34 +56,17 @@ def cost_key(cost: CostModel) -> Tuple[int, ...]:
     return tuple(getattr(cost, name) for name in COST_FIELDS)
 
 
-class IdentityCache:
-    """Cache keyed on object *identity* with weakref lifetime.
-
-    ``AnalyzedProgram`` (the natural cache key for lowering and
-    compiled-source caches) is an unfrozen dataclass — unhashable, so a
-    ``WeakKeyDictionary`` rejects it — but it is weakref-able.  This
-    cache keys on ``id(obj)`` and drops the entry when the key object
-    is collected, so repeated runs of the same analyzed program reuse
-    the compiled artifacts without pinning any program in memory.
-    """
-
-    __slots__ = ("_data",)
-
-    def __init__(self) -> None:
-        self._data: Dict[int, Tuple[Any, Any]] = {}
-
-    def get(self, obj: Any) -> Any:
-        entry = self._data.get(id(obj))
-        return entry[1] if entry is not None else None
-
-    def set(self, obj: Any, value: Any) -> None:
-        key = id(obj)
-        data = self._data
-        try:
-            ref = weakref.ref(obj, lambda _r: data.pop(key, None))
-        except TypeError:  # not weakref-able: skip caching
-            return
-        data[key] = (ref, value)
+def compile_generated(src: str, filename: str) -> Any:
+    """``compile()`` generated module text.  Source that hits one of the
+    host compiler's fixed limits (100 indentation levels, 20 statically
+    nested blocks, its recursion limit) raises CodegenUnsupported, so
+    the run falls back with that reason recorded."""
+    try:
+        return compile(src, filename, "exec")
+    except (SyntaxError, RecursionError) as exc:
+        raise CodegenUnsupported(
+            f"generated source does not compile: "
+            f"{type(exc).__name__}: {exc}") from None
 
 
 def mangle(name: str) -> str:

@@ -64,8 +64,7 @@ from ..core.program import convert_type
 from ..core.types import BOOLEAN, ClassType, FLOAT, INT
 from ..lang import ast
 from ..rtsj.regions import MemoryArea
-from .codegen_base import (CodegenUnsupported, IdentityCache,
-                           SourceWriter, cost_key)
+from .codegen_base import CodegenUnsupported, SourceWriter, cost_key
 from .lower import THIS, LoweredProgram, MethodUnit, lower
 
 _MAIN_KEY = ("", "<main>")
@@ -1211,9 +1210,6 @@ def _get_lib(src: str) -> Any:
 # compile + bind
 # ---------------------------------------------------------------------------
 
-_C_CACHE = IdentityCache()
-
-
 def c_source(lowered: LoweredProgram, cost: Any) -> str:
     """The generated C text (exposed for tests and debugging)."""
     return _CEmitter(lowered, cost).emit_module()
@@ -1315,12 +1311,8 @@ def compile_c(machine: Any) -> Any:
             or "SharedRegion" in info.region_kinds:
         raise CodegenUnsupported("regionKind shadows a built-in kind")
     key = cost_key(machine.cost_model)
-    per = _C_CACHE.get(analyzed)
-    if per is None or key not in per:
-        src = c_source(lowered, machine.cost_model)
-        lib = _get_lib(src)
-        if per is None:
-            per = {}
-            _C_CACHE.set(analyzed, per)
-        per[key] = _make_bind(lib)
+    per = analyzed.artifacts.setdefault("c", {})
+    if key not in per:
+        per[key] = _make_bind(_get_lib(c_source(lowered,
+                                                machine.cost_model)))
     return PyProgram("c", "py", per[key](machine))

@@ -37,7 +37,6 @@ from ..core.api import AnalyzedProgram
 from ..core.program import ClassInfo, MethodInfo, convert_type, make_subst
 from ..core.types import BOOLEAN, ClassType, FLOAT, HandleType, INT, Type
 from ..lang import ast
-from .codegen_base import IdentityCache
 
 #: selector marker: the receiver object itself becomes the owner value
 THIS = "<this>"
@@ -723,14 +722,9 @@ def _lower(analyzed: AnalyzedProgram) -> LoweredProgram:
     return lowered
 
 
-_CACHE = IdentityCache()
-
-
 def lower(analyzed: AnalyzedProgram) -> LoweredProgram:
-    """Lower ``analyzed`` (cached per analysis object)."""
-    hit = _CACHE.get(analyzed)
-    if hit is not None:
-        return hit
-    lowered = _lower(analyzed)
-    _CACHE.set(analyzed, lowered)
+    """Lower ``analyzed`` (cached on the analysis object)."""
+    lowered = analyzed.artifacts.get("lowered")
+    if lowered is None:
+        lowered = analyzed.artifacts["lowered"] = _lower(analyzed)
     return lowered

@@ -1,12 +1,17 @@
 """Lexer for the core language.
 
 ``tokenize`` is a single-pass scanner driven by one master regular
-expression (one ``re.match`` per token instead of one Python-level loop
-iteration per *character*, which made the old hand-written scanner the
-dominant cost of ``analyze()``).  The token stream, spans, and error
-behavior are identical to the original character-at-a-time
-:class:`Lexer`, which is kept below as the executable specification and
-for callers that want incremental ``next_token`` scanning.
+expression: one ``re.match`` per token or trivia run, and one flat
+:class:`~repro.lang.tokens.Token` tuple per token (kind, text, start
+line, start column, filename), built with ``tuple.__new__``.  Spans are
+not materialised per token; :attr:`Token.span` derives one on demand,
+and the parser builds node spans straight from token coordinates.
+
+The character-at-a-time :class:`Lexer` below is the executable
+specification of the token grammar and is kept for incremental
+``next_token`` scanning.  ``tests/property/test_lexer_differential.py``
+checks that both produce the same kinds, texts and spans, or the same
+``LexError`` message and span, over generated token soups.
 
 ``tokenize`` also accepts a start line/column so a *slice* of a larger
 file (a class-declaration chunk, as cut by
@@ -59,8 +64,13 @@ _PUNCT1 = {
 # letters the old scanner's str.isalpha() admitted — with a post-check
 # for the few non-ASCII \w characters (e.g. '¹') that isalpha() rejects;
 # word continuation \w matches isalnum()-or-underscore exactly.
+#
+# Every match may start with blanks, so a token after a single space
+# costs one match, not two; the token's text is its named group.
 _MASTER_RE = re.compile(
     r"""
+    [ \t]*
+    (?:
       [ \t\r\n]+                                      # whitespace
     | //[^\n]*                                        # line comment
     | /\*[^*]*(?:\*(?!/)[^*]*)*\*/                    # block comment
@@ -70,6 +80,7 @@ _MASTER_RE = re.compile(
     | (?P<word>[^\W\d]\w*)
     | (?P<p2>==|!=|<=|>=|&&|\|\|)
     | (?P<p1>[(){}<>,;.:=+\-*/%!])
+    )
     """,
     re.VERBOSE,
 )
@@ -86,6 +97,9 @@ def tokenize(text: str, filename: str = "<input>",
     append = tokens.append
     scan = _MASTER_RE.match
     keyword_get = KEYWORDS.get
+    new = tuple.__new__
+    IDENT, INT_LIT, FLOAT_LIT = (TokenKind.IDENT, TokenKind.INT_LIT,
+                                 TokenKind.FLOAT_LIT)
     pos = 0
     n = len(text)
     line = start_line
@@ -108,35 +122,33 @@ def tokenize(text: str, filename: str = "<input>",
                 line_start = match.start() + seg.rindex("\n") + 1
             pos = end
             continue
-        tok_text = match[0]
-        col = pos - line_start + 1
+        tok_text = match[group]
+        col = end - len(tok_text) - line_start + 1
         if group == "word":
             first = tok_text[0]
             if first >= "\x80" and not first.isalpha():
                 here = Position(line, col)
                 raise LexError(f"unexpected character {first!r}",
                                Span(here, here, filename))
-            kind = keyword_get(tok_text, TokenKind.IDENT)
-        elif group == "int":
-            kind = TokenKind.INT_LIT
-        elif group == "float":
-            kind = TokenKind.FLOAT_LIT
+            kind = keyword_get(tok_text, IDENT)
         elif group == "p1":
             if tok_text == "/" and end < n and text[end] == "*":
                 # a terminated comment would have matched above
-                start_p = Position(line, col)
                 raise LexError(
                     "unterminated block comment",
-                    Span(start_p, Position(line, col + 2), filename))
+                    Span(Position(line, col), Position(line, col + 2),
+                         filename))
             kind = _PUNCT1[tok_text]
+        elif group == "int":
+            kind = INT_LIT
+        elif group == "float":
+            kind = FLOAT_LIT
         else:
             kind = _PUNCT2[tok_text]
-        span = Span(Position(line, col),
-                    Position(line, col + end - pos), filename)
-        append(Token(kind, tok_text, span))
+        append(new(Token, (kind, tok_text, line, col, filename)))
         pos = end
-    here = Position(line, n - line_start + 1)
-    append(Token(TokenKind.EOF, "", Span(here, here, filename)))
+    append(new(Token, (TokenKind.EOF, "", line, n - line_start + 1,
+                       filename)))
     return tokens
 
 
@@ -187,6 +199,9 @@ class Lexer:
     def _span(self, start: Position) -> Span:
         return Span(start, self._here(), self.filename)
 
+    def _token(self, kind: TokenKind, text: str, start: Position) -> Token:
+        return Token(kind, text, start.line, start.column, self.filename)
+
     # -- scanning -----------------------------------------------------------
 
     def _skip_trivia(self) -> None:
@@ -201,10 +216,12 @@ class Lexer:
                 start = self._here()
                 self._advance()
                 self._advance()
+                opener = self._span(start)
                 while not (self._peek() == "*" and self._peek(1) == "/"):
                     if self.pos >= len(self.text):
+                        # anchored on the two opener characters
                         raise LexError("unterminated block comment",
-                                       self._span(start))
+                                       opener)
                     self._advance()
                 self._advance()
                 self._advance()
@@ -233,7 +250,7 @@ class Lexer:
                 self._advance()
         text = self.text[begin:self.pos]
         kind = TokenKind.FLOAT_LIT if is_float else TokenKind.INT_LIT
-        return Token(kind, text, self._span(start))
+        return self._token(kind, text, start)
 
     def _lex_word(self) -> Token:
         start = self._here()
@@ -242,13 +259,13 @@ class Lexer:
             self._advance()
         text = self.text[begin:self.pos]
         kind = KEYWORDS.get(text, TokenKind.IDENT)
-        return Token(kind, text, self._span(start))
+        return self._token(kind, text, start)
 
     def next_token(self) -> Token:
         self._skip_trivia()
         start = self._here()
         if self.pos >= len(self.text):
-            return Token(TokenKind.EOF, "", self._span(start))
+            return self._token(TokenKind.EOF, "", start)
         ch = self._peek()
         if _is_digit(ch):
             return self._lex_number()
@@ -258,10 +275,10 @@ class Lexer:
         if two in _PUNCT2:
             self._advance()
             self._advance()
-            return Token(_PUNCT2[two], two, self._span(start))
+            return self._token(_PUNCT2[two], two, start)
         if ch in _PUNCT1:
             self._advance()
-            return Token(_PUNCT1[ch], ch, self._span(start))
+            return self._token(_PUNCT1[ch], ch, start)
         raise LexError(f"unexpected character {ch!r}", self._span(start))
 
     def tokens(self) -> List[Token]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from enum import Enum, auto, unique
 from typing import NamedTuple
 
-from ..source import Span
+from ..source import Position, Span
 
 
 @unique
@@ -76,6 +76,11 @@ class TokenKind(Enum):
 
     EOF = auto()
 
+    # Members are singletons compared by identity.  The identity hash
+    # keeps the parser's kind-keyed table lookups in C; Enum's own
+    # __hash__ is a Python-level call.
+    __hash__ = object.__hash__
+
 
 KEYWORDS = {
     "class": TokenKind.CLASS,
@@ -119,13 +124,30 @@ BUILTIN_KIND_NAMES = frozenset({
 })
 
 
+_new = tuple.__new__
+
+
 class Token(NamedTuple):
-    """A NamedTuple (not a dataclass) — the lexer allocates one per
-    token, and tuple construction is several times cheaper."""
+    """One lexed token as a single flat tuple.
+
+    The lexer builds one per token with ``tuple.__new__`` (no
+    Python-level ``__new__`` frame, no nested position tuples); the
+    parser reads the start coordinates directly when it builds node
+    spans.  A token never spans lines, so its end column is
+    ``column + len(text)`` and :attr:`span` is derived on demand."""
 
     kind: TokenKind
     text: str
-    span: Span
+    line: int
+    column: int
+    filename: str
+
+    @property
+    def span(self) -> Span:
+        _, text, line, column, filename = self
+        return _new(Span, (_new(Position, (line, column)),
+                           _new(Position, (line, column + len(text))),
+                           filename))
 
     def __str__(self) -> str:
         return f"{self.kind.name}({self.text!r})"

@@ -1,12 +1,13 @@
 """Source positions and spans for diagnostics.
 
-Every token, AST node, and diagnostic carries a :class:`Span` so that type
-errors point back at the offending line of the core-language program, exactly
-the way the paper's checker reports errors against Java source.
+Every AST node and diagnostic carries a :class:`Span` so that type errors
+point back at the offending line of the core-language program, exactly the
+way the paper's checker reports errors against Java source.  Tokens carry
+only their start coordinates; ``Token.span`` derives a span on demand.
 
-Both classes are ``NamedTuple``s rather than frozen dataclasses: the lexer
-creates three of them per token, and tuple construction is several times
-cheaper than a frozen-dataclass ``__init__`` (which goes through
+Both classes are ``NamedTuple``s rather than frozen dataclasses: the parser
+creates a span per node, and tuple construction is several times cheaper
+than a frozen-dataclass ``__init__`` (which goes through
 ``object.__setattr__`` per field).  They remain immutable, hashable, and
 structurally comparable; ordering a :class:`Position` compares
 ``(line, column)`` lexicographically.
@@ -40,11 +41,6 @@ class Span(NamedTuple):
     @staticmethod
     def unknown() -> "Span":
         return Span(Position(0, 0), Position(0, 0), "<unknown>")
-
-    def merge(self, other: "Span") -> "Span":
-        """Smallest span covering both ``self`` and ``other``."""
-        return Span(min(self.start, other.start),
-                    max(self.end, other.end), self.filename)
 
 
 def excerpt(text: str, span: Span, context: int = 0) -> str:

@@ -32,6 +32,7 @@ import pytest
 from repro.core.api import analyze
 from repro.interp.machine import RunOptions, execute
 from repro.serve import ServeConfig, ServeService
+from repro.serve.client import ResilientClient
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent.parent
 
@@ -163,6 +164,31 @@ class TestServedParity:
                                        {"program": "{ print( }"})
         assert status == 422
         assert body["ok"] is False and body["errors"]
+
+    def test_deep_nesting_is_422_memoized_and_never_retried(self, service):
+        program = ("(RHandle<r> h) { int x = " + "(" * 2000 + "1"
+                   + ")" * 2000 + "; print(x); }")
+        analyses = _metric(service, "repro_serve_analyses_total")
+        hits = _metric(service, "repro_serve_result_cache_hits_total")
+        restarts = _metric(service, "repro_serve_worker_restarts_total")
+        status, _headers, body = _post(service, "analyze",
+                                       {"program": program})
+        assert status == 422
+        assert "nesting exceeds" in body["errors"][0]
+        # the repeat is answered by the worker's result memo
+        again = _post(service, "analyze", {"program": program})
+        assert (again[0], again[2]) == (status, body)
+        assert _metric(service,
+                       "repro_serve_analyses_total") == analyses + 1
+        assert _metric(service,
+                       "repro_serve_result_cache_hits_total") == hits + 1
+        # a client fault: the resilient client takes 422 as final
+        result = ResilientClient(service.host, service.port).post(
+            "run", {"program": program})
+        assert result.status == 422
+        assert result.attempts == 1 and not result.retried
+        assert _metric(service,
+                       "repro_serve_worker_restarts_total") == restarts
 
 
 class TestRequestHygiene:

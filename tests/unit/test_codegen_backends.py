@@ -2,12 +2,15 @@
 selection ladder, the C source generator, and the structured
 ``CompileError`` diagnostics of the Python erasure backend."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import RunOptions, analyze
 from repro.interp import codegen_c
-from repro.interp.codegen_base import (CodegenUnsupported, IdentityCache,
-                                       SourceWriter, bake, cost_key,
+from repro.interp.codegen_base import (CodegenUnsupported, SourceWriter,
+                                       bake, compile_generated, cost_key,
                                        mangle)
 from repro.interp.codegen_py import select_program
 from repro.interp.compile_py import CompileError, compile_to_python
@@ -64,12 +67,27 @@ class TestBase:
         bumped = CostModel(op_basic=base.op_basic + 1)
         assert cost_key(bumped) != cost_key(base)
 
-    def test_identity_cache_is_per_object(self):
-        cache = IdentityCache()
+    def test_artifacts_are_cached_per_program_and_freed_with_it(self):
         a1, a2 = analyze(SIMPLE), analyze(SIMPLE)
-        cache.set(a1, "one")
-        assert cache.get(a1) == "one"
-        assert cache.get(a2) is None
+        lowered = lower(a1)
+        assert lower(a1) is lowered
+        assert lower(a2) is not lowered
+        for backend in ("py-fused", "py-faithful", "c"):
+            Machine(a1, RunOptions(backend=backend, instrument=False))
+        # the cached artifacts hold their program (lowered.analyzed),
+        # yet nothing outside it keeps it alive
+        ref = weakref.ref(a1)
+        del a1, lowered
+        gc.collect()
+        assert ref() is None
+
+    def test_uncompilable_generated_source_is_unsupported(self):
+        # 120 nested blocks: past CPython's 100 indentation levels
+        deep = "".join(" " * i + "if x:\n" for i in range(120))
+        deep += " " * 120 + "pass\n"
+        with pytest.raises(CodegenUnsupported,
+                           match="generated source does not compile"):
+            compile_generated(deep, "<deep>")
 
     def test_source_writer_indents(self):
         w = SourceWriter()

@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.errors import ParseError
+from repro import RunOptions, analyze
+from repro.core.cache import AnalysisCache
+from repro.errors import NestingError, ParseError
+from repro.interp.lower import lower
+from repro.interp.machine import execute
 from repro.lang import ast, parse_program, pretty_program
+from repro.lang.parser import MAX_NESTING
 
 
 def parse_expr(text):
@@ -329,3 +334,128 @@ class TestRoundTrip:
         first = pretty_program(parse_program(source))
         second = pretty_program(parse_program(first))
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# nesting bound
+# ---------------------------------------------------------------------------
+
+NODE = """class Node<Owner o> {
+    Node<o> next;
+    int v;
+    Node<o> self() { return this; }
+    int id(int a) { return a; }
+}
+(RHandle<r> h) {
+    Node<r> n = new Node<r>;
+    n.next = n;
+    n.v = 7;
+    int k = 3;
+    BODY
+}
+"""
+
+#: one program shape per thing the bound counts, as a function of depth
+DEEP_SHAPES = {
+    "parentheses": lambda d: "print(" + "(" * d + "1" + ")" * d + ");",
+    "unary": lambda d: "print(" + "- " * d + "1);",
+    "negation": lambda d: "if (" + "!" * d + "true) { print(1); }",
+    "binary-chain": lambda d: "print(" + " + ".join(["1"] * d) + ");",
+    "blocks": lambda d: "{ " * d + "print(1);" + " }" * d,
+    "loops": lambda d: ("while (k < 4) { " * d + "print(k); k = k + 1;"
+                        + " }" * d),
+    "else-if": lambda d: " else ".join(
+        f"if (k == {i}) {{ print({i}); }}" for i in range(d)),
+    "regions": lambda d: "".join(f"(RHandle<q{i}> g{i}) {{ "
+                                 for i in range(d)) + "print(1);" + " }" * d,
+    "member-chain": lambda d: "print(n" + ".self()" * d + ".v);",
+    "call-args": lambda d: "print(" + "n.id(" * d + "1" + ")" * d + ");",
+}
+
+
+def deep_program(shape, depth):
+    return NODE.replace("BODY", DEEP_SHAPES[shape](depth))
+
+
+def deepest_accepted(shape):
+    """The largest depth of ``shape`` the parser accepts."""
+    depth = MAX_NESTING + 2
+    while True:
+        try:
+            parse_program(deep_program(shape, depth))
+            return depth
+        except NestingError:
+            depth -= 1
+
+
+class TestNestingBound:
+    def test_deep_parentheses_are_a_parse_error(self):
+        with pytest.raises(ParseError, match="nesting exceeds") as exc:
+            parse_program("{ int x = " + "(" * 400 + "1" + ")" * 400
+                          + "; }")
+        # anchored on the first parenthesis past the bound
+        assert exc.value.span.start.column == 11 + MAX_NESTING - 1
+
+    def test_long_flat_chain_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nesting exceeds"):
+            parse_program("{ int x = " + " + ".join(["1"] * 3000)
+                          + "; }")
+
+    def test_deep_prefix_run_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nesting exceeds"):
+            parse_program("{ int x = " + "-" * 3000 + "1; }")
+
+    def test_deep_member_chain_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nesting exceeds"):
+            parse_program("{ int x = a" + ".f" * 3000 + "; }")
+
+    @pytest.mark.parametrize("source", [
+        "(" * 400 + "1" + ")" * 400,
+        " + ".join(["1"] * 3000),
+    ], ids=["parentheses-400", "chain-3000"])
+    def test_analyze_reports_deep_input_as_parse_error(self, source):
+        program = f"(RHandle<r> h) {{ int x = {source}; print(x); }}"
+        for cache in (None, AnalysisCache()):
+            with pytest.raises(ParseError, match="nesting exceeds"):
+                analyze(program, cache=cache)
+
+    def test_declaration_backtracking_keeps_the_nesting_error(self):
+        # ``T<o> v = ...`` is tried as a declaration first; the nesting
+        # error from its initializer must not be retried as an
+        # expression and reported as something else
+        with pytest.raises(ParseError, match="nesting exceeds"):
+            parse_program("{ T<o> v = " + "(" * 200 + "1" + ")" * 200
+                          + "; }")
+
+    def test_bound_counts_blocks_and_expression_height_together(self):
+        half = MAX_NESTING // 2
+        inner = " + ".join(["1"] * (half + 5))
+        with pytest.raises(ParseError, match="nesting exceeds"):
+            parse_program("{ " * half + f"int x = {inner};" + " }" * half)
+        parse_program("{ " * half + "int x = 1 + 1;" + " }" * half)
+
+    def test_precedence_levels_do_not_count_as_chain_length(self):
+        # 2 * 3 + 4 * 5 + ... is a '+' chain over '*' pairs
+        parse_program("{ int x = " + " + ".join(["2 * 3"] * (
+            MAX_NESTING - 5)) + "; }")
+
+    @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+    def test_deepest_accepted_program_runs_everywhere(self, shape):
+        """At the bound, every stage works or falls back with a recorded
+        reason; nothing raises a host exception."""
+        depth = deepest_accepted(shape)
+        assert depth >= MAX_NESTING - 5
+        with pytest.raises(NestingError):
+            parse_program(deep_program(shape, depth + 1))
+        analyzed = analyze(deep_program(shape, depth))
+        assert not analyzed.errors, analyzed.errors[0]
+        lower(analyzed)
+        pretty_program(analyzed.program)
+        outputs = set()
+        for backend in ("interp", "py-fused", "py-faithful", "c"):
+            for checks in (True, False):
+                result, machine = execute(analyzed, RunOptions(
+                    backend=backend, checks_enabled=checks,
+                    validate=False, instrument=False))
+                outputs.add(tuple(result.output))
+        assert len(outputs) == 1

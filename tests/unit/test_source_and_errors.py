@@ -18,19 +18,6 @@ class TestSpans:
         assert str(span) == "file.rtj:3:7"
         assert str(Position(1, 1)) == "1:1"
 
-    def test_merge_covers_both(self):
-        a = Span(Position(2, 5), Position(2, 9), "f")
-        b = Span(Position(4, 1), Position(4, 3), "f")
-        merged = a.merge(b)
-        assert merged.start == Position(2, 5)
-        assert merged.end == Position(4, 3)
-
-    def test_merge_is_commutative_on_extent(self):
-        a = Span(Position(2, 5), Position(2, 9), "f")
-        b = Span(Position(4, 1), Position(4, 3), "f")
-        assert a.merge(b).start == b.merge(a).start
-        assert a.merge(b).end == b.merge(a).end
-
     def test_unknown_span(self):
         assert Span.unknown().start.line == 0
 
