@@ -17,7 +17,7 @@ Two jobs in one suite:
 
 Backend rows record what actually executed: a program the requested
 backend cannot compile falls down the capability ladder
-(c -> py-fused -> py-faithful -> interpreter), and the row's
+(c -> py -> interpreter), and the row's
 ``backend_used``/``fallback`` fields say so.  A host without a C
 toolchain (or cffi) gets ``skipped`` C rows, never failures — CI
 equivalence coverage for C lives on hosts that have one.

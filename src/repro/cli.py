@@ -55,13 +55,10 @@ import dataclasses
 
 from .core.api import analyze
 from .errors import ReproError
+from .interp.codegen_py import BACKEND_CHOICES
 from .interp.machine import Machine, RunOptions, execute
 from .interp.translate import translate as run_translate
 from .lang import pretty_program
-
-#: --backend choices shared by run/profile/bench/chaos (see
-#: RunOptions.backend); None = the subcommand's own default
-BACKEND_CHOICES = ("interp", "py", "py-fused", "py-faithful", "c")
 
 _EMBEDDED_PROGRAM = re.compile(r'^PROGRAM\s*=\s*r?"""(.*?)"""',
                                re.S | re.M)
@@ -175,7 +172,7 @@ def cmd_run(args) -> int:
     # an explicit compiled backend implies the uninstrumented fast
     # path (the hooks are compiled out) — unless the user also asked
     # for an observability export, which needs live sinks and
-    # therefore the interpreter/faithful forms
+    # therefore the interpreter
     wants_obs = bool(args.trace_out or args.metrics_out
                      or args.record_out or args.serve_metrics is not None
                      or getattr(args, "telemetry", None))
@@ -935,6 +932,19 @@ def cmd_graph(args) -> int:
     return 0
 
 
+def _deadline_ms(text: str) -> float:
+    """``--deadline-ms``: the same range rule ``/v1/*`` requests get."""
+    from .serve.protocol import deadline_complaint
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")  # fails the range test like any non-number
+    complaint = deadline_complaint(value)
+    if complaint is not None:
+        raise argparse.ArgumentTypeError(complaint)
+    return value
+
+
 def _shared_parents():
     """Parent parsers for the flags shared by run/profile/bench/chaos.
 
@@ -946,12 +956,11 @@ def _shared_parents():
     backend.add_argument(
         "--backend", choices=BACKEND_CHOICES, default=None,
         help="execution backend: the coroutine interpreter (default), "
-             "compiled Python source ('py': fused straight-line code "
-             "with checks erased at emit time where possible, faithful "
-             "generator transliteration otherwise), or compiled C via "
-             "cffi ('c', static mode only).  Unsupported program/"
-             "configuration combinations fall back toward the "
-             "interpreter with identical observable behaviour")
+             "compiled Python source ('py': straight-line code with "
+             "checks erased at emit time where possible), or compiled "
+             "C via cffi ('c', static mode only).  Unsupported program/"
+             "configuration combinations fall down the ladder "
+             "c -> py -> interp with identical observable behaviour")
     cache = argparse.ArgumentParser(add_help=False)
     cache.add_argument(
         "--analysis-cache", metavar="DIR",
@@ -1256,7 +1265,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="default execution backend when a request "
                             "names none (default py)")
-    p_srv.add_argument("--deadline-ms", type=float, default=None,
+    p_srv.add_argument("--deadline-ms", type=_deadline_ms, default=None,
                        metavar="MS",
                        help="default per-request deadline when a "
                             "request names none (default: unbounded)")

@@ -44,10 +44,9 @@ COST_FIELDS = (
 class CodegenUnsupported(Exception):
     """The backend cannot compile this program or run configuration.
 
-    Raising this is a *routing* signal, not an error: the execution
-    orchestrator falls back to a more capable backend (``py`` fused ->
-    ``py`` faithful -> interpreter) and the run proceeds with identical
-    observable behaviour.
+    Raising this is a *routing* signal, not an error: the machine falls
+    back to a more capable backend (``c`` -> ``py`` -> interpreter) and
+    the run proceeds with identical observable behaviour.
     """
 
 

@@ -33,15 +33,16 @@ reproduce straight-line:
   interpreter never ran a mid-program GC).
 
 On bail the orchestrator (``machine.execute``) discards the machine
-and reruns on a fresh one with the *faithful* generator backend, which
-reproduces the interpreter yield-for-yield.  Bailing is therefore
-always safe — a spurious bail costs wall clock, never correctness.
+and reruns on a fresh one with the interpreter, the reference
+semantics.  Bailing is therefore always safe — a spurious bail costs
+wall clock, never correctness.
 
 Eligibility is decided per machine: no hazards from lowering, a
 well-typed program, null instrumentation sinks, no recorder, faults,
 sanitizer, or degrade mode, and no user ``regionKind`` shadowing the
-built-in kinds.  ``repro bench`` (``instrument=False``) qualifies;
-a default ``repro run`` (instrumented) routes to the faithful backend.
+built-in kinds.  ``repro bench`` (``instrument=False``) qualifies; a
+default ``repro run`` (instrumented) and any program with a lowering
+hazard run on the interpreter instead.
 
 Known host-level divergence (documented in docs/PERFORMANCE.md): deep
 simulated recursion consumes one host frame per call in every backend,
@@ -62,6 +63,11 @@ from .codegen_base import (CodegenUnsupported, SourceWriter, bake,
                            compile_generated, cost_key, mangle)
 from .lower import THIS, LoweredProgram, MethodUnit, lower
 from .values import RegionHandle, format_value
+
+
+#: ``--backend`` names; a compiled backend that declines a program
+#: falls down the ladder ``c`` -> ``py`` -> ``interp``
+BACKEND_CHOICES = ("interp", "py", "c")
 
 
 class _Bail(Exception):
@@ -901,36 +907,32 @@ def compile_fused(machine: Any) -> PyProgram:
         raise CodegenUnsupported("regionKind shadows a built-in kind")
     bind = _fused_bind(analyzed, lowered, opts.checks_enabled,
                        opts.validate, machine.cost_model)
-    return PyProgram("py-fused", "py-faithful", bind(machine))
+    return PyProgram("py-fused", "interp", bind(machine))
 
 
 def select_program(machine: Any, backend: str) -> PyProgram:
     """Resolve ``--backend`` to a compiled program for this machine.
 
-    ``py`` prefers the fused form and falls back to the faithful
-    generator backend; the explicit ``py-fused`` / ``py-faithful``
-    names force one form (tests use them).  Raises
-    :class:`CodegenUnsupported` when nothing can compile the program —
-    the machine then runs the interpreter.
+    The capability ladder is ``c`` -> ``py`` -> interpreter: ``c``
+    falls to the fused Python form when it cannot compile the program
+    or configuration, and ``py`` to the interpreter.  Each declined
+    rung's reason is kept, in order, on ``machine.codegen_fallback``
+    (``repro run --stats`` surfaces it).  Raises
+    :class:`CodegenUnsupported` naming every declined rung when no
+    compiled form can run the program — the machine then interprets.
     """
-    if backend == "py":
-        try:
-            return compile_fused(machine)
-        except CodegenUnsupported:
-            from .codegen_py_faithful import compile_faithful
-            return compile_faithful(machine)
-    if backend == "py-fused":
-        return compile_fused(machine)
-    if backend == "py-faithful":
-        from .codegen_py_faithful import compile_faithful
-        return compile_faithful(machine)
+    if backend not in ("py", "c"):
+        raise CodegenUnsupported(f"unknown backend {backend!r}")
+    declined: List[str] = []
     if backend == "c":
         from .codegen_c import compile_c
         try:
             return compile_c(machine)
         except CodegenUnsupported as exc:
-            # chain down the capability ladder; keep the C reason
-            # visible (``repro run -v`` surfaces it)
-            machine.codegen_fallback = f"c unavailable ({exc})"
-            return select_program(machine, "py")
-    raise CodegenUnsupported(f"unknown backend {backend!r}")
+            declined.append(f"c unavailable ({exc})")
+            machine.codegen_fallback = declined[0]
+    try:
+        return compile_fused(machine)
+    except CodegenUnsupported as exc:
+        declined.append(f"py unavailable ({exc})")
+        raise CodegenUnsupported("; ".join(declined)) from None

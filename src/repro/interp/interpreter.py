@@ -370,14 +370,13 @@ class Interpreter:
                 selectors = None if identity else symbolic
                 if mi.native is not None:
                     return (self._native_code(mi.native), selectors,
-                            (), (), (), None, None, info, mi)
+                            (), (), (), None, None)
                 body_code = self._compile_block(mi.decl.body)
                 return (None, selectors,
                         tuple(info.formal_names),
                         tuple(f[0] for f in mi.formals),
                         tuple(p[1] for p in mi.params),
-                        body_code, _default_return(mi.return_type),
-                        info, mi)
+                        body_code, _default_return(mi.return_type))
             if info.superclass is None:
                 break
             mapping = dict(zip(info.formal_names, symbolic))
@@ -405,36 +404,11 @@ class Interpreter:
                 f"object {obj!r} has no method '{method_name}'")
         return entry
 
-    def _resolve_impl(self, obj: ObjRef, method_name: str):
-        """Dynamic dispatch (cached): returns the defining class info,
-        method info, and the receiver's owner values translated to that
-        class's formals."""
-        entry = self._call_entry(obj, method_name)
-        selectors, info, mi = entry[1], entry[7], entry[8]
-        if selectors is None:
-            return info, mi, obj.owners
-        owners = obj.owners
-        return info, mi, tuple(
-            obj if s is _THIS else owners[s] if type(s) is int else s
-            for s in selectors)
-
-    def call_method(self, obj: ObjRef, method_name: str,
-                    owner_values: Tuple[Any, ...], args: Tuple[Any, ...],
-                    caller_region: MemoryArea, thread: SimThread):
-        entry = self._call_entry(obj, method_name)
-        if entry[0] is not None:
-            result = yield from entry[0](obj, args)
-        else:
-            result = yield from self._frame_call(entry, obj, owner_values,
-                                                 args, caller_region,
-                                                 thread)
-        return result
-
     def _frame_call(self, entry, obj: ObjRef,
                     owner_values: Tuple[Any, ...], args: Tuple[Any, ...],
                     caller_region: MemoryArea, thread: SimThread):
         (_native_code, selectors, class_formals, owner_formals,
-         param_names, body_code, default_ret, _info, _mi) = entry
+         param_names, body_code, default_ret) = entry
         if selectors is None:
             class_owner_values = obj.owners
         else:

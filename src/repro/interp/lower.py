@@ -22,7 +22,7 @@ facts from the AST.  Lowering resolves, once:
   cannot compile without giving up cycle exactness (``fork``,
   subregions, portal and static access, name shadowing that lexical
   renaming cannot reproduce, untypeable receivers).  A program with any
-  hazard still compiles — backends fall back to their faithful path.
+  hazard still runs — on the interpreter, with identical results.
 
 The lowered facts are backend-neutral: nothing here mentions Python
 source or C.

@@ -95,13 +95,11 @@ class RunOptions:
     #: aggregates (kind_counts, check_totals) are kept regardless
     record_sample: int = 1
     # -- execution backend --
-    #: "interp" = the coroutine interpreter; "py" = compiled Python
-    #: source (fused straight-line code when the program/configuration
-    #: allows, a faithful generator transliteration otherwise); "c" =
-    #: compiled C via cffi.  Unsupported program/configuration
-    #: combinations fall back towards the interpreter with identical
-    #: observable behaviour (see ``execute``).  "py-fused"/"py-faithful"
-    #: force one specific py form (tests/benchmarks).
+    #: one of ``codegen_py.BACKEND_CHOICES``: "interp" = the coroutine
+    #: interpreter; "py" = compiled straight-line Python source;
+    #: "c" = compiled C via cffi.  A program or configuration a compiled
+    #: backend cannot take falls down the ladder c -> py -> interp with
+    #: identical observable behaviour (see ``execute``).
     backend: str = "interp"
 
 
@@ -200,7 +198,8 @@ class Machine:
         self._init_statics()
         # compiled program (codegen backends); None = interpret.  A
         # backend that cannot compile this program/configuration is a
-        # routing decision, not an error: note the reason and interpret.
+        # routing decision, not an error: note every declined rung's
+        # reason and interpret.
         self.program = None
         self.program_bailed = False
         self.codegen_fallback: Optional[str] = None
@@ -422,9 +421,9 @@ def execute(analyzed: AnalyzedProgram,
     reproduce exactly — an error path, a GC trigger, a cycle-limit
     stop.  The partial run's state is unusable at that point, so the
     program is re-executed from scratch on the backend's declared
-    fallback (``py`` fused -> faithful -> interpreter) on a *fresh*
-    machine.  The returned result is therefore always exactly the
-    interpreter's, whatever backend actually produced it.
+    fallback (``c`` -> ``py`` -> interpreter) on a *fresh* machine.
+    The returned result is therefore always exactly the interpreter's,
+    whatever backend actually produced it.
     """
     machine = Machine(analyzed, options)
     result = machine.run()

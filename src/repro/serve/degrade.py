@@ -7,7 +7,7 @@ machine the HTTP frontend consults on every admission:
 * **brownout** (rung 1) — expensive modes are disabled: ``run`` and
   ``inspect`` misses are answered ``503 + Retry-After`` (analyze-only
   service), and compiled backends fall one rung down the capability
-  ladder (``c`` → ``py-fused`` — observable results are byte-identical
+  ladder (``c`` → ``py`` — observable results are byte-identical
   across backends, so the downgrade is invisible except in
   ``backend_used``);
 * **shed** (rung 2) — only fingerprint-exact hot-tier hits, health,
@@ -52,7 +52,7 @@ RUNG_NAMES = ("healthy", "brownout", "shed")
 #: that serve's startup probing already uses; results stay
 #: byte-identical (the codegen equivalence gate is the proof), so only
 #: ``backend_used`` betrays the swap
-BACKEND_BROWNOUT_FALLBACK = {"c": "py-fused"}
+BACKEND_BROWNOUT_FALLBACK = {"c": "py"}
 
 
 class DegradationLadder:

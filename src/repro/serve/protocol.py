@@ -39,6 +39,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+from ..interp.codegen_py import BACKEND_CHOICES
 from ..obs.trace import TRACE_SCHEMA, new_trace_id
 
 SCHEMA = "repro-serve/1"
@@ -59,6 +60,9 @@ MODES = ("static", "dynamic")
 #: request programs larger than this are rejected with 413 before any
 #: hashing or queueing happens
 MAX_PROGRAM_BYTES = 1 << 20
+
+#: the longest per-request deadline accepted (one hour, in ms)
+MAX_DEADLINE_MS = 3_600_000
 
 
 def program_sha(source: str) -> str:
@@ -179,6 +183,17 @@ def error_body(message: str, **extra: Any) -> Dict[str, Any]:
     return out
 
 
+def deadline_complaint(value: Any) -> Optional[str]:
+    """Why ``value`` is not a usable ``deadline_ms``, or ``None``.  Only
+    a non-bool number in (0, MAX_DEADLINE_MS] passes: NaN and the
+    infinities fail the range test, and a larger value would overflow
+    the host's timeout arithmetic."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0 < value <= MAX_DEADLINE_MS:
+        return f"deadline_ms must be a number in (0, {MAX_DEADLINE_MS}]"
+    return None
+
+
 def validate_request(payload: Any) -> Optional[str]:
     """Shape-check one decoded request body; returns a complaint or
     ``None`` when the payload is well-formed."""
@@ -191,14 +206,14 @@ def validate_request(payload: Any) -> Optional[str]:
     if mode not in MODES:
         return f"mode must be one of {MODES}, not {mode!r}"
     backend = payload.get("backend", "py")
-    from ..cli import BACKEND_CHOICES
     if backend not in BACKEND_CHOICES:
         return (f"backend must be one of {BACKEND_CHOICES}, "
                 f"not {backend!r}")
     deadline_ms = payload.get("deadline_ms")
     if deadline_ms is not None:
-        if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
-            return "deadline_ms must be a positive number"
+        complaint = deadline_complaint(deadline_ms)
+        if complaint is not None:
+            return complaint
     tenant = payload.get("tenant", "default")
     if not isinstance(tenant, str) or not tenant:
         return "tenant must be a non-empty string"

@@ -2,8 +2,8 @@
 
 ``tests/data/seed_equivalence.json`` pins the observable identity of
 the seed interpreter across the benchmark registry.  Every compiled
-backend — Python-source fused and faithful, and the C backend where a
-toolchain exists — must reproduce those values *exactly*: simulated
+backend — Python source, and the C backend where a toolchain
+exists — must reproduce those values *exactly*: simulated
 cycles, output hash, check counters, allocation/free counts, steps.
 
 Also covers the routing contract (which backend actually executes and
@@ -25,6 +25,8 @@ from repro.bench import codegen as bench_codegen
 from repro.bench.suite import BENCHMARKS
 from repro.core.api import analyze
 from repro.errors import ReproError
+from repro.interp.codegen_base import CodegenUnsupported
+from repro.interp.codegen_py import compile_fused
 from repro.interp.machine import Machine, RunOptions, execute
 
 FIXTURE_PATH = (pathlib.Path(__file__).parent.parent / "data"
@@ -99,11 +101,35 @@ def _run_source(source, mode, backend):
     return result, machine
 
 
-@pytest.mark.parametrize("backend", ["py", "py-fused", "py-faithful"])
+def _run_fused(name, mode):
+    """Run the fused Python form as compiled by ``compile_fused``
+    itself, with no ladder in between.  A program the fused compiler
+    declines must decline for its lowering hazards, and is then
+    interpreted."""
+    analyzed = analyze(BENCHMARKS[name].source(fast=True))
+    assert not analyzed.errors
+    machine = Machine(analyzed, RunOptions(
+        checks_enabled=MODES[mode], validate=False, instrument=False,
+        backend="interp"))
+    try:
+        machine.program = compile_fused(machine)
+    except CodegenUnsupported as exc:
+        assert str(exc).startswith("hazards: "), str(exc)
+    else:
+        assert machine.program.backend == "py-fused"
+    return machine.run(), machine
+
+
+# "py" is the ``--backend py`` request, routed through the ladder;
+# "py-fused" is the fused form compiled directly
+@pytest.mark.parametrize("backend", ["py", "py-fused"])
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("name", sorted(FIXTURE))
 def test_py_backends_match_seed(name, mode, backend):
-    result, _machine = _run(name, mode, backend)
+    if backend == "py-fused":
+        result, _machine = _run_fused(name, mode)
+    else:
+        result, _machine = _run(name, mode, backend)
     assert _capture(result) == FIXTURE[name][mode]
 
 
@@ -132,13 +158,18 @@ class TestRouting:
         _result, machine = _run("Array", "dynamic", "py")
         assert machine.program.backend == "py-fused"
 
-    def test_hazardous_program_falls_to_faithful(self):
+    def test_hazardous_program_falls_to_interp(self):
         # a *use* of a leaked local over an implicit this-field: the
         # interpreter's flat frame leaks the if-block's x over the
         # field, which lexical renaming cannot mirror — the surviving
         # core of the use-of-leaked-local hazard after the narrowing
-        _result, machine = _run_source(LEAKED_USE_SOURCE, "static", "py")
-        assert machine.program.backend == "py-faithful"
+        result, machine = _run_source(LEAKED_USE_SOURCE, "static", "py")
+        assert machine.program is None  # interpreter ran
+        assert machine.codegen_fallback.startswith(
+            "py unavailable (hazards: ")
+        assert "use-of-leaked-local" in machine.codegen_fallback
+        reference, _m = _run_source(LEAKED_USE_SOURCE, "static", "interp")
+        assert _capture(result) == _capture(reference)
 
     def test_tainted_redeclare_graduates_to_fused(self):
         # redeclaring a name whose block closed is exact under renaming
@@ -162,8 +193,20 @@ class TestRouting:
     @needs_c
     def test_c_chains_down_on_hazards(self):
         _result, machine = _run_source(LEAKED_USE_SOURCE, "static", "c")
-        assert machine.program.backend == "py-faithful"
-        assert "c unavailable" in machine.codegen_fallback
+        assert machine.program is None  # interpreter ran
+        c_reason, py_reason = machine.codegen_fallback.split("; ")
+        assert c_reason.startswith("c unavailable (hazards: ")
+        assert py_reason.startswith("py unavailable (hazards: ")
+        assert "use-of-leaked-local" in py_reason
+
+    def test_fallback_names_every_declined_rung(self):
+        # both rungs decline http: the reason keeps the C rung's text
+        # ahead of the py rung's instead of only the last one
+        _result, machine = _run("http", "static", "c")
+        assert machine.program is None
+        c_reason, py_reason = machine.codegen_fallback.split("; ")
+        assert c_reason.startswith("c unavailable (")
+        assert py_reason.startswith("py unavailable (hazards: ")
 
     @needs_c
     def test_c_declines_dynamic_checks(self):
@@ -205,13 +248,14 @@ class TestRouting:
 
     def test_instrumented_run_declines_fused_and_c(self):
         # obs hooks are compiled out of the fused/C forms, so an
-        # instrumented run must land on a form that still records
+        # instrumented run must land on the interpreter, which records
         analyzed = analyze(BENCHMARKS["Tree"].source(fast=True))
         machine = Machine(analyzed, RunOptions(
             checks_enabled=False, validate=False, backend="c"))
         result = machine.run()
-        assert machine.program is None or \
-            machine.program.backend == "py-faithful"
+        assert machine.program is None
+        assert machine.codegen_fallback.endswith(
+            "; py unavailable (instrumented run)")
         assert not result.stats.tracer.null
 
 

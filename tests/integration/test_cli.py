@@ -253,16 +253,25 @@ class TestBackendFlag:
                                   "--trace-out", trace, "--stats",
                                   good_file)
         assert code == 0
-        assert "(interp [instrumented run])" in err
+        assert "(interp [py unavailable (instrumented run)])" in err
 
     def test_run_output_identical_across_backends(self, good_file):
         outputs = set()
-        for backend in ("interp", "py", "py-fused", "py-faithful"):
+        for backend in ("interp", "py", "c"):
             code, out, _err = run_cli("run", "--backend", backend,
                                       good_file)
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1
+
+    @pytest.mark.parametrize("value", ["1e15", "inf", "nan", "0", "soon"])
+    def test_serve_rejects_out_of_range_deadline(self, value):
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(["serve", "--deadline-ms", value])
+        assert exc.value.code == 2
+        assert "deadline_ms must be a number in (0, 3600000]" in \
+            err.getvalue()
 
     def test_profile_accepts_backend(self, good_file):
         code, _out, _err = run_cli("profile", "--backend", "py",

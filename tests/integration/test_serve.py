@@ -334,6 +334,21 @@ class TestTrafficMechanics:
         assert (_metric(service, "repro_serve_analyses_total")
                 == analyses_before)
 
+    @pytest.mark.parametrize("deadline_ms",
+                             [1e15, float("inf"), float("nan"), True],
+                             ids=["1e15", "Infinity", "NaN", "true"])
+    def test_out_of_range_deadline_is_400(self, service, deadline_ms):
+        # json.dumps spells the non-finite floats Infinity / NaN, which
+        # the server's JSON decoder accepts
+        restarts = _metric(service, "repro_serve_worker_restarts_total")
+        status, _headers, body = _post(service, "run", {
+            "program": _variant("far-deadline"),
+            "deadline_ms": deadline_ms})
+        assert status == 400
+        assert "deadline_ms" in body["error"]
+        assert _metric(service,
+                       "repro_serve_worker_restarts_total") == restarts
+
     def test_tenant_quota_sheds_independently(self):
         config = ServeConfig(workers=1, quota_rate=0.001,
                              quota_burst=1.0)

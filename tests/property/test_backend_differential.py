@@ -5,9 +5,8 @@ interpreter: same output lines, same simulated cycle total, same full
 ``Stats.summary()``.  These tests generate small but semantically busy
 programs (arithmetic with mixed int/float, dispatch chains, region
 allocation loops, arrays, organically failing runs) and assert that
-promise for every backend — including the forced ``py-fused`` /
-``py-faithful`` forms and, when a C toolchain and cffi are present,
-the ``c`` backend.
+promise for every backend — ``py`` and, when a C toolchain and cffi
+are present, ``c``.
 
 A program a backend cannot compile falls back down the capability
 ladder; that is part of the contract under test — the observable
@@ -37,7 +36,7 @@ def _c_available() -> bool:
     return True
 
 
-BACKENDS = ["py", "py-fused", "py-faithful"]
+BACKENDS = ["py"]
 if _c_available():
     BACKENDS.append("c")
 

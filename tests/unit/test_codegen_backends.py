@@ -72,7 +72,7 @@ class TestBase:
         lowered = lower(a1)
         assert lower(a1) is lowered
         assert lower(a2) is not lowered
-        for backend in ("py-fused", "py-faithful", "c"):
+        for backend in ("py", "c"):
             Machine(a1, RunOptions(backend=backend, instrument=False))
         # the cached artifacts hold their program (lowered.analyzed),
         # yet nothing outside it keeps it alive
@@ -161,20 +161,26 @@ class TestLadder:
             select_program(_machine(SIMPLE), "jit")
 
     def test_forced_forms(self):
-        assert select_program(_machine(SIMPLE),
-                              "py-fused").backend == "py-fused"
-        assert select_program(_machine(SIMPLE),
-                              "py-faithful").backend == "py-faithful"
+        # one Python form: ``py`` always means the fused emitter, and
+        # the old per-form request name is gone
+        assert select_program(_machine(SIMPLE), "py").backend == "py-fused"
+        with pytest.raises(CodegenUnsupported, match="unknown backend"):
+            select_program(_machine(SIMPLE), "py-fused")
 
     def test_fused_declines_threaded_program(self):
-        with pytest.raises(CodegenUnsupported):
-            select_program(_machine(FORKED), "py-fused")
+        with pytest.raises(CodegenUnsupported,
+                           match=r"^py unavailable \(hazards: .*fork"):
+            select_program(_machine(FORKED), "py")
 
     def test_fallback_backends_form_a_chain(self):
-        fused = select_program(_machine(SIMPLE), "py-fused")
-        faithful = select_program(_machine(SIMPLE), "py-faithful")
-        assert fused.fallback_backend == "py-faithful"
-        assert faithful.fallback_backend == "interp"
+        fused = select_program(_machine(SIMPLE), "py")
+        assert fused.fallback_backend == "interp"
+        machine = _machine(SIMPLE)
+        program = select_program(machine, "c")
+        if program.backend == "c":
+            assert program.fallback_backend == "py"
+        else:  # no toolchain here: the py rung took it, reason kept
+            assert machine.codegen_fallback.startswith("c unavailable (")
 
 
 # ---------------------------------------------------------------------------

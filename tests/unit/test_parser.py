@@ -452,7 +452,7 @@ class TestNestingBound:
         lower(analyzed)
         pretty_program(analyzed.program)
         outputs = set()
-        for backend in ("interp", "py-fused", "py-faithful", "c"):
+        for backend in ("interp", "py", "c"):
             for checks in (True, False):
                 result, machine = execute(analyzed, RunOptions(
                     backend=backend, checks_enabled=checks,

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serve.protocol import (ENDPOINTS, MODES, Job, JobOutcome,
-                                  error_body, job_fingerprint,
+from repro.serve.protocol import (ENDPOINTS, MAX_DEADLINE_MS, MODES, Job,
+                                  JobOutcome, error_body, job_fingerprint,
                                   program_sha, validate_request)
 from repro.serve.quota import QuotaTable, TokenBucket
 
@@ -71,10 +71,31 @@ class TestValidateRequest:
         ({"program": SOURCE, "deadline_ms": -5}, "deadline_ms"),
         ({"program": SOURCE, "deadline_ms": "soon"}, "deadline_ms"),
         ({"program": SOURCE, "tenant": ""}, "tenant"),
+        ({"program": SOURCE, "deadline_ms": 1e15}, "deadline_ms"),
+        ({"program": SOURCE, "deadline_ms": float("inf")}, "deadline_ms"),
+        ({"program": SOURCE, "deadline_ms": float("nan")}, "deadline_ms"),
+        ({"program": SOURCE, "deadline_ms": True}, "deadline_ms"),
+        ({"program": SOURCE, "deadline_ms": MAX_DEADLINE_MS + 1},
+         "deadline_ms"),
     ])
     def test_malformed_requests_are_named(self, payload, fragment):
         complaint = validate_request(payload)
         assert complaint is not None and fragment in complaint
+
+    def test_deadline_range_is_inclusive_of_the_maximum(self):
+        for deadline_ms in (0.0001, 1, MAX_DEADLINE_MS,
+                            float(MAX_DEADLINE_MS)):
+            assert validate_request({"program": SOURCE,
+                                     "deadline_ms": deadline_ms}) is None
+
+    def test_backends_are_the_ladder(self):
+        from repro.interp.codegen_py import BACKEND_CHOICES
+        assert BACKEND_CHOICES == ("interp", "py", "c")
+        for backend in BACKEND_CHOICES:
+            assert validate_request({"program": SOURCE,
+                                     "backend": backend}) is None
+        assert "backend must be" in validate_request(
+            {"program": SOURCE, "backend": "py-fused"})
 
     def test_modes_are_the_machine_modes(self):
         assert MODES == ("static", "dynamic")
