@@ -11,9 +11,14 @@ asserts the robustness contract:
   no matter which faults are injected (the runtime's recovery paths
   must preserve O1–O3/R1–R3);
 * **deterministic replay** — re-executing a run's recorded fault
-  schedule through a :class:`ReplayInjector` reproduces the run
-  bit-for-bit (same fault sequence, status, cycle count, output, and
-  stats summary).
+  schedule through a :class:`~repro.faults.ReplayInjector` reproduces
+  the run bit-for-bit (same fault sequence, status, cycle count,
+  output, and stats summary).
+
+Plans, injectors, schedule files and the replay-identity diff all come
+from the shared fault kernel (:mod:`repro.faults`, target
+``runtime``); this module supplies only the runtime workload and its
+identity.
 
 Outcome taxonomy (``ChaosOutcome.status``):
 
@@ -36,9 +41,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.api import AnalyzedProgram, analyze
 from ..errors import ReproError, SanitizerViolation
+from ..faults import (FaultPlan, FaultRecord, FaultScheduleError,
+                      ReplayInjector, fault_key, identity_mismatches,
+                      load_schedule, save_schedule)
 from ..interp.machine import Machine, RunOptions
-from ..rtsj.faults import (FaultPlan, FaultRecord, ReplayInjector,
-                           fault_key, load_schedule, save_schedule)
 
 #: chaos runs bound the clock tightly: an injected fault that degrades
 #: a producer/consumer pair into a busy-wait should end in a prompt
@@ -165,17 +171,9 @@ def verify_replay(program: Union[str, AnalyzedProgram],
     """Re-run ``baseline``'s recorded schedule through a
     :class:`ReplayInjector` and diff the replay-comparable identity.
     Returns the list of mismatches (empty = bit-for-bit replay)."""
-    injector = ReplayInjector(baseline.faults, plan)
-    replay = run_one(program, injector=injector, label=baseline.program,
-                     max_cycles=max_cycles)
-    mismatches: List[str] = []
-    want, got = baseline.identity(), replay.identity()
-    for key in want:
-        if want[key] != got[key]:
-            mismatches.append(
-                f"{key}: recorded {want[key]!r} != replayed "
-                f"{got[key]!r}")
-    return mismatches
+    replay = run_one(program, injector=ReplayInjector(baseline.faults, plan),
+                     label=baseline.program, max_cycles=max_cycles)
+    return identity_mismatches(baseline.identity(), replay.identity())
 
 
 def run_chaos(corpus: Sequence[Tuple[str, str]],
@@ -199,9 +197,9 @@ def run_chaos(corpus: Sequence[Tuple[str, str]],
         if analyzed.errors:
             raise analyzed.errors[0]
         for seed in seeds:
-            plan = FaultPlan(seed=seed, rate=rate, rates=rates or {},
-                             sites=sites,
-                             gc_spike_factor=gc_spike_factor)
+            plan = FaultPlan(
+                seed=seed, rate=rate, rates=rates or {}, sites=sites,
+                params={"gc_spike_factor": gc_spike_factor})
             outcome = run_one(analyzed, plan=plan, label=label,
                               max_cycles=max_cycles,
                               record=schedule_dir is not None,
@@ -306,29 +304,21 @@ def replay_schedule(path: str,
                     source: Optional[str] = None) -> Dict[str, Any]:
     """Re-execute a persisted schedule file.  The program source
     embedded in the schedule's metadata is used unless ``source``
-    overrides it.  Returns {ok, mismatches, outcome}."""
-    plan, records, meta = load_schedule(path)
+    overrides it.  Returns {ok, mismatches, outcome}.  A schedule file
+    that is unreadable, not a runtime schedule, or without a program
+    raises :class:`~repro.faults.FaultScheduleError`."""
+    plan, records, meta = load_schedule(path, target="runtime")
     program = source if source is not None else meta.get("source")
     if not program:
-        raise ValueError(
+        raise FaultScheduleError(
             f"schedule {path} embeds no program source; pass the "
             "program explicitly")
     max_cycles = int(meta.get("max_cycles", DEFAULT_MAX_CYCLES))
-    injector = ReplayInjector(records, plan)
-    outcome = run_one(program, injector=injector,
+    outcome = run_one(program, injector=ReplayInjector(records, plan),
                       label=str(meta.get("program", path)),
                       max_cycles=max_cycles)
-    mismatches: List[str] = []
     recorded = meta.get("identity")
-    if recorded is not None:
-        got = outcome.identity()
-        for key, want in recorded.items():
-            have = got.get(key)
-            if key == "faults":
-                # JSON round-trip turns the (site, seq) tuples into lists
-                have = [list(pair) for pair in have]
-            if want != have:
-                mismatches.append(
-                    f"{key}: recorded {want!r} != replayed {have!r}")
+    mismatches = ([] if recorded is None
+                  else identity_mismatches(recorded, outcome.identity()))
     return {"ok": not mismatches, "mismatches": mismatches,
             "outcome": outcome}

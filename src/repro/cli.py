@@ -49,7 +49,7 @@ import argparse
 import json
 import re
 import sys
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 import dataclasses
 
@@ -530,15 +530,18 @@ def cmd_chaos(args) -> int:
     import os
 
     from .chaos import replay_schedule, run_chaos
-    from .rtsj.faults import FAULT_SITES
+    from .faults import TARGETS, FaultScheduleError, load_schedule
 
     if args.replay:
-        from .serve.faults import peek_schedule_target
-        if peek_schedule_target(args.replay) == "serve":
-            from .serve.chaos import replay_schedule as serve_replay
-            report = serve_replay(args.replay)
-            return _print_serve_chaos(args, report, replayed=True)
-        report = replay_schedule(args.replay)
+        try:
+            if load_schedule(args.replay)[0].target == "serve":
+                from .serve.chaos import replay_schedule as serve_replay
+                report = serve_replay(args.replay)
+                return _print_serve_chaos(args, report, replayed=True)
+            report = replay_schedule(args.replay)
+        except FaultScheduleError as err:
+            print(f"invalid fault schedule: {err}", file=sys.stderr)
+            return 1
         outcome = report["outcome"]
         print(f"{outcome.program}: replayed {len(outcome.faults)} "
               f"fault(s), status={outcome.status}, "
@@ -565,10 +568,11 @@ def cmd_chaos(args) -> int:
         return _print_serve_chaos(args, report)
 
     if args.sites:
-        unknown = [s for s in args.sites if s not in FAULT_SITES]
+        known = TARGETS["runtime"].sites
+        unknown = [s for s in args.sites if s not in known]
         if unknown:
             print(f"error: unknown fault site(s) {unknown}; known: "
-                  f"{list(FAULT_SITES)}", file=sys.stderr)
+                  f"{list(known)}", file=sys.stderr)
             return 1
     paths = args.paths or sorted(glob.glob(
         os.path.join("examples", "*.py")))
@@ -654,8 +658,13 @@ def cmd_inspect(args) -> int:
         compare = compare_header
     schedule = None
     if args.schedule:
-        from .rtsj.faults import load_schedule
-        _, schedule, _ = load_schedule(args.schedule)
+        from .faults import FaultScheduleError, load_schedule
+        try:
+            _, schedule, _ = load_schedule(args.schedule,
+                                           target="runtime")
+        except FaultScheduleError as err:
+            print(f"invalid fault schedule: {err}", file=sys.stderr)
+            return 1
     report = build_report(header, records, schedule=schedule,
                           compare=compare)
     if args.html:
@@ -753,11 +762,11 @@ def cmd_serve(args) -> int:
     if args.fault_rate > 0:
         # deterministic fault injection for smoke/chaos drills: the
         # seed fixes the schedule, max-faults bounds the blast radius
-        from .serve.faults import ServiceFaultInjector, ServiceFaultPlan
-        injector = ServiceFaultInjector(ServiceFaultPlan(
+        from .faults import FaultInjector, FaultPlan
+        injector = FaultInjector(FaultPlan(
             seed=args.fault_seed, rate=args.fault_rate,
-            sites=("worker_crash",),
-            max_faults=args.max_faults))
+            sites=("worker_crash",), max_faults=args.max_faults,
+            target="serve"))
     service = ServeService(config, fault_injector=injector)
     # workers are forked and the socket is listening: connections are
     # already queueing in the backlog, so this ready line is accurate
@@ -943,6 +952,20 @@ def _deadline_ms(text: str) -> float:
     if complaint is not None:
         raise argparse.ArgumentTypeError(complaint)
     return value
+
+
+def _plan_arg(name: str, convert: Callable[[str], Any]):
+    """An argparse type for one :class:`~repro.faults.FaultPlan`
+    field, checked by the plan's own validation."""
+    def parse(text: str) -> Any:
+        from .faults import FaultPlan
+        try:
+            value = convert(text)
+            FaultPlan(**{name: value})
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+        return value
+    return parse
 
 
 def _shared_parents():
@@ -1166,7 +1189,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fault plans per program (default 5)")
     p_chaos.add_argument("--seed-base", type=int, default=0,
                          help="first seed (default 0)")
-    p_chaos.add_argument("--rate", type=float, default=0.02,
+    p_chaos.add_argument("--rate", default=0.02,
+                         type=_plan_arg("rate", float),
                          help="per-consult injection probability at "
                               "every site (default 0.02)")
     p_chaos.add_argument("--sites", nargs="+", metavar="SITE",
@@ -1294,15 +1318,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "job's flight record here, keyed by "
                             "trace id (repro inspect --trace joins "
                             "them)")
-    p_srv.add_argument("--fault-rate", type=float, default=0.0,
-                       metavar="R",
+    p_srv.add_argument("--fault-rate", default=0.0, metavar="R",
+                       type=_plan_arg("rate", float),
                        help="deterministic worker-crash injection "
                             "rate for smoke drills (default 0 = off)")
     p_srv.add_argument("--fault-seed", type=int, default=0,
                        help="seed for --fault-rate's schedule "
                             "(default 0)")
-    p_srv.add_argument("--max-faults", type=int, default=1,
-                       metavar="N",
+    p_srv.add_argument("--max-faults", default=1, metavar="N",
+                       type=_plan_arg("max_faults", int),
                        help="cap injected faults for --fault-rate "
                             "(default 1)")
     p_srv.set_defaults(func=cmd_serve)

@@ -22,8 +22,8 @@ class ReproError(Exception):
     Every instance can render itself as a *structured diagnostic* — a
     plain dict with the error type, message, and (when the failure
     happened inside a simulated run) the fault site, thread, and cycle
-    it occurred at.  The fault-injection plane (:mod:`repro.rtsj.faults`)
-    and the chaos driver rely on this: a run must never end in a bare
+    it occurred at.  The fault kernel (:mod:`repro.faults`) and the
+    chaos driver rely on this: a run must never end in a bare
     traceback, only in a diagnosable record.
     """
 

@@ -22,9 +22,9 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from ..core.api import AnalyzedProgram, analyze
 from ..core.relations import RelationGraph
 from ..errors import OwnershipTypeError, ReproError
+from ..faults import FaultInjector, FaultPlan, FaultRecord
 from ..obs import MetricsRegistry, ProfileCollector, Tracer
 from ..rtsj.checks import CheckEngine
-from ..rtsj.faults import FaultInjector, FaultPlan, RecoveryPolicy
 from ..rtsj.gc import GarbageCollector
 from ..rtsj.objects import ArrayStorage, ObjRef
 from ..rtsj.regions import RegionManager
@@ -32,6 +32,32 @@ from ..rtsj.sanitizer import RegionSanitizer, SanitizerConfig
 from ..rtsj.stats import CostModel, Stats
 from ..rtsj.threads import Scheduler, SimThread
 from .interpreter import Frame, Interpreter
+
+
+@dataclass(frozen=True)
+class RecoveryPolicy:
+    """How the runtime degrades when a fault (injected or organic) hits.
+
+    Retries charge exponential backoff to the simulated clock — attempt
+    ``i`` costs ``backoff_base << i`` cycles — so recovery has an honest
+    cost in the Figure-12 currency.  ``vt_spill`` allows a VT allocation
+    that cannot obtain chunks to fall back to the region's parent (or
+    the heap, for non-real-time threads): both outlive the denied
+    region, so every previously-checked reference stays safe (R1–R3).
+    ``lt_watchdog`` names the degradation for LT overruns: the
+    offending thread is aborted with a structured diagnostic while the
+    scheduler keeps serving the others (requires the machine's degrade
+    mode; otherwise the error propagates as before).
+    """
+
+    max_retries: int = 3
+    backoff_base: int = 64
+    vt_spill: bool = True
+    lt_watchdog: bool = True
+
+    def backoff_cycles(self, attempt: int) -> int:
+        """Cycles charged before retry number ``attempt`` (0-based)."""
+        return self.backoff_base << min(attempt, 16)
 
 
 @dataclass
@@ -164,7 +190,7 @@ class Machine:
             self.fault_injector = FaultInjector(self.options.fault_plan)
         self.recovery = self.options.recovery
         if self.fault_injector is not None:
-            self.fault_injector.stats = self.stats
+            self.fault_injector.on_fire = self._count_fault
             self.regions.attach_injector(self.fault_injector)
         self.checks = CheckEngine(self.cost_model, self.stats,
                                   enabled=self.options.checks_enabled,
@@ -251,6 +277,17 @@ class Machine:
         if not self.gc.should_collect():
             return 0
         return self.gc.collect(self._gc_roots())
+
+    def _count_fault(self, record: FaultRecord) -> None:
+        """The injector's ``on_fire`` hook: ``faults_injected`` always
+        equals the schedule length, whichever site fired."""
+        self.stats.faults_injected += 1
+        if self.recorder is not None:
+            self.recorder.record(
+                "fault-injected", record.site, cycle=self.stats.cycles,
+                thread="<fault>", attrs={"site": record.site,
+                                         "seq": record.seq,
+                                         "detail": record.detail})
 
     # ------------------------------------------------------------------
 

@@ -421,7 +421,7 @@ def join_faults(records: Sequence[FlightRecord],
                 schedule: Sequence[Any]) -> List[Dict[str, Any]]:
     """Map each fault of a chaos schedule to the flight events it
     caused.  ``schedule`` items need ``site``/``seq``/``detail``
-    attributes (``repro.rtsj.faults.FaultRecord``) or the equivalent
+    attributes (``repro.faults.FaultRecord``) or the equivalent
     dict keys.
 
     Faults are matched to ``fault-injected`` flight records by

@@ -6,7 +6,7 @@ degrades honestly under injected faults; this module proves the
 
 1. boots a real :class:`~repro.serve.server.ServeService` (forked
    workers, HTTP sockets, the whole admission path) with a
-   :class:`~repro.serve.faults.ServiceFaultInjector` wired into the
+   serve-target :class:`~repro.faults.FaultInjector` wired into the
    pool's dispatch loop;
 2. drives it with one sequential
    :class:`~repro.serve.client.ResilientClient` over a deterministic
@@ -19,9 +19,10 @@ degrades honestly under injected faults; this module proves the
    torn shards quarantined on disk, and the degradation ladder riding
    healthy → brownout → healthy;
 4. optionally re-runs the whole campaign under a
-   :class:`~repro.serve.faults.ReplayServiceInjector` and demands the
-   same *identity* — fault schedule, per-request final statuses, and
-   response digests — bit for bit.
+   :class:`~repro.faults.ReplayInjector` and demands the same
+   *identity* — fault schedule, per-request final statuses, and
+   response digests — bit for bit (diffed by the kernel's
+   :func:`~repro.faults.identity_mismatches`, as runtime replays are).
 
 Why replay works here at all: the client is strictly sequential, so
 jobs reach the pool in request order regardless of how long retries,
@@ -43,9 +44,10 @@ import tempfile
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..faults import (FaultInjector, FaultPlan, FaultRecord,
+                      ReplayInjector, fault_key, identity_mismatches,
+                      load_schedule, save_schedule)
 from .client import ClientPolicy, ResilientClient
-from .faults import (ReplayServiceInjector, ServiceFaultInjector,
-                     ServiceFaultPlan, fault_key, save_schedule)
 from .server import ServeConfig, ServeService
 
 __all__ = ["CAMPAIGN_SCHEMA", "DEFAULT_MINIMA", "default_plan",
@@ -73,22 +75,22 @@ DEFAULT_MINIMA = {"worker_crash": 3, "worker_stall": 1,
 TOPUP_FACTOR = 3
 
 
-def default_plan(seed: int = 0) -> ServiceFaultPlan:
+def default_plan(seed: int = 0) -> FaultPlan:
     """Rates tuned so ~32 requests meet :data:`DEFAULT_MINIMA` for
     most seeds without top-up traffic."""
-    return ServiceFaultPlan(
-        seed=seed,
+    return FaultPlan(
+        seed=seed, target="serve",
         rates={"worker_crash": 0.14, "worker_stall": 0.05,
                "latency_spike": 0.10, "pipe_write": 0.06,
                "cache_corrupt": 0.08},
-        stall_ms=4000.0, spike_ms=40.0)
+        params={"stall_ms": 4000.0, "spike_ms": 40.0})
 
 
 def _campaign_config(workers: int, cache_dir: str) -> ServeConfig:
     return ServeConfig(
         workers=workers, cache_dir=cache_dir,
         # the watchdog must sit far above a legitimate small-program
-        # analysis (ms) and far below plan.stall_ms, so only injected
+        # analysis (ms) and far below the plan's stall_ms, so only injected
         # stalls trip it even on a noisy CI host
         stall_timeout_s=1.25,
         heal_after_s=0.25,
@@ -178,19 +180,19 @@ def _minima_met(injector: Any,
                for site, floor in minima.items())
 
 
-def run_campaign(plan: Optional[ServiceFaultPlan] = None,
+def run_campaign(plan: Optional[FaultPlan] = None,
                  requests: int = 32, workers: int = 2,
                  injector: Optional[Any] = None,
                  minima: Optional[Dict[str, int]] = None,
                  fast: bool = True) -> Dict[str, Any]:
     """One full campaign against a freshly booted service.  Pass a
-    ``ReplayServiceInjector`` as ``injector`` to re-run a recorded
+    ``ReplayInjector`` as ``injector`` to re-run a recorded
     schedule; otherwise a seeded random injector is built from
     ``plan``."""
     plan = plan or default_plan()
     minima = DEFAULT_MINIMA if minima is None else minima
     if injector is None:
-        injector = ServiceFaultInjector(plan)
+        injector = FaultInjector(plan)
     sources = _corpus_sources(fast=fast)
     reference = _references(sources)
     bases = list(CORPUS_BASES)
@@ -359,25 +361,15 @@ def run_campaign(plan: Optional[ServiceFaultPlan] = None,
     }
 
 
-def _identity_mismatches(expected: Dict[str, Any],
-                         actual: Dict[str, Any]) -> List[str]:
-    out: List[str] = []
-    # JSON round-trips turn tuples into lists; normalise both sides
-    for key in ("fault_key", "statuses", "digests"):
-        want = [list(v) if isinstance(v, (list, tuple)) else v
-                for v in expected.get(key, [])]
-        have = [list(v) if isinstance(v, (list, tuple)) else v
-                for v in actual.get(key, [])]
-        if want != have:
-            out.append(
-                f"{key} diverged: recorded {len(want)} item(s), "
-                f"replay {len(have)}"
-                + ("" if len(want) != len(have) else
-                   next((f"; first at index {i}: "
-                         f"{want[i]!r} != {have[i]!r}"
-                         for i in range(len(want))
-                         if want[i] != have[i]), "")))
-    return out
+def _judge_replay(report: Dict[str, Any], mismatches: List[str],
+                  replay_ran_ok: bool) -> None:
+    """Fold a replay's identity diff into ``report``: any mismatch is a
+    violation, and the report is ok only if the replay was too."""
+    report["replay_ok"] = not mismatches and replay_ran_ok
+    report["replay_mismatches"] = mismatches
+    if mismatches:
+        report["status"] = "violation"
+    report["ok"] = report["ok"] and report["replay_ok"]
 
 
 def run_serve_chaos(seed: int = 0, requests: int = 32,
@@ -389,56 +381,37 @@ def run_serve_chaos(seed: int = 0, requests: int = 32,
     plan = default_plan(seed)
     report = run_campaign(plan, requests=requests, workers=workers,
                           fast=fast)
+    records = [FaultRecord.from_dict(r) for r in report["records"]]
     if schedule_path:
-        from .faults import FaultRecord
-        save_schedule(schedule_path, plan,
-                      [FaultRecord.from_dict(r)
-                       for r in report["records"]],
+        save_schedule(schedule_path, plan, records,
                       meta={"identity": report["identity"],
                             "requests": requests,
                             "workers": workers})
         report["schedule_path"] = schedule_path
     if verify:
-        from .faults import FaultRecord
-        records = [FaultRecord.from_dict(r)
-                   for r in report["records"]]
         replayed = run_campaign(
             plan, requests=requests, workers=workers,
-            injector=ReplayServiceInjector(records, plan), fast=fast)
-        mismatches = _identity_mismatches(report["identity"],
-                                          replayed["identity"])
-        report["replay_ok"] = (not mismatches) and replayed["ok"]
-        report["replay_mismatches"] = mismatches
+            injector=ReplayInjector(records, plan), fast=fast)
         report["replay_failures"] = replayed["failures"]
-        if mismatches:
-            report["status"] = "violation"
-            report["ok"] = False
-        elif not replayed["ok"]:
-            report["ok"] = False
+        _judge_replay(report, identity_mismatches(
+            report["identity"], replayed["identity"]), replayed["ok"])
     return report
 
 
 def replay_schedule(path: str, requests: Optional[int] = None,
                     workers: Optional[int] = None) -> Dict[str, Any]:
     """Re-run a persisted serve schedule and diff against its recorded
-    identity."""
-    from .faults import load_schedule
-    plan, records, meta = load_schedule(path)
+    identity.  A bad schedule file raises
+    :class:`~repro.faults.FaultScheduleError`."""
+    plan, records, meta = load_schedule(path, target="serve")
     report = run_campaign(
         plan,
         requests=int(requests or meta.get("requests", 32)),
         workers=int(workers or meta.get("workers", 2)),
-        injector=ReplayServiceInjector(records, plan))
-    mismatches: List[str] = []
+        injector=ReplayInjector(records, plan))
     expected = meta.get("identity")
-    if expected is not None:
-        mismatches = _identity_mismatches(expected,
-                                          report["identity"])
-    report["replay_ok"] = (not mismatches) and report["ok"]
-    report["replay_mismatches"] = mismatches
-    if mismatches:
-        report["status"] = "violation"
-        report["ok"] = False
+    _judge_replay(report, [] if expected is None else identity_mismatches(
+        expected, report["identity"]), report["ok"])
     return report
 
 

@@ -24,7 +24,7 @@ dispatcher thread.  All dispatchers pull from a single shared queue:
   crash, so a missed deadline can't pin a dispatcher forever.
 
 The pool is also where the serve resilience plane injects failures: an
-optional :class:`~repro.serve.faults.ServiceFaultInjector` is
+optional serve-target :class:`~repro.faults.FaultInjector` is
 consulted once per site per dispatch (fixed order, so recorded chaos
 schedules replay bit-for-bit), and worker-lifecycle events are
 reported to an optional callback the degradation ladder listens on.
@@ -114,8 +114,8 @@ class WorkerPool:
         #: record here, keyed by trace id (see WarmWorker._dump_flight)
         self.flight_dir = flight_dir
         self.batch_max = max(1, batch_max)
-        #: anything with fire(site, detail) / stall_ms / spike_ms —
-        #: a ServiceFaultInjector or its replay twin (None in prod)
+        #: a serve-target FaultInjector or ReplayInjector (None in
+        #: prod): fire(site, detail) plus plan.params stall/spike_ms
         self.faults = fault_injector
         #: reply-wait bound per dispatch; None disables the watchdog
         self.stall_timeout_s = stall_timeout_s
@@ -242,24 +242,22 @@ class WorkerPool:
                   f"job={live[0].job.fingerprint[:12]}")
         if live[0].job.trace_id:
             detail += f" trace={live[0].job.trace_id[:16]}"
-        kill = injector.fire("worker_crash", detail)
-        stall = injector.fire("worker_stall", detail)
-        spike = injector.fire("latency_spike", detail)
-        pipe_fail = injector.fire("pipe_write", detail)
-        corrupt = injector.fire("cache_corrupt", detail)
-        if corrupt:
+        # the serve target lists its sites in consult order
+        fired = {site: injector.fire(site, detail)
+                 for site in injector.plan.site_names}
+        if fired["cache_corrupt"]:
             self._corrupt_shard(live[0].job.source_sha)
         delay_ms: Optional[float] = None
-        if stall:
-            delay_ms = float(injector.stall_ms)
-        elif spike:
-            delay_ms = float(injector.spike_ms)
-        if kill or stall or spike or pipe_fail or corrupt:
+        if fired["worker_stall"]:
+            delay_ms = float(injector.plan.params["stall_ms"])
+        elif fired["latency_spike"]:
+            delay_ms = float(injector.plan.params["spike_ms"])
+        if any(fired.values()):
             # any fired fault taints every job riding this dispatch —
             # the tail sampler retains their traces unconditionally
             for p in live:
                 p.faulted = True
-        return kill, delay_ms, pipe_fail
+        return fired["worker_crash"], delay_ms, fired["pipe_write"]
 
     def _corrupt_shard(self, sha: str) -> None:
         """Tear the job's on-disk analysis-cache shard (truncated

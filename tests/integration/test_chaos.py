@@ -13,7 +13,7 @@ import pytest
 from repro.chaos import (replay_schedule, run_chaos, run_one,
                          verify_replay)
 from repro.cli import main
-from repro.rtsj.faults import FaultPlan, load_schedule, save_schedule
+from repro.faults import FaultPlan, load_schedule, save_schedule
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from conftest import (PRODUCER_CONSUMER_SOURCE, TSTACK_SOURCE,  # noqa: E402
@@ -158,6 +158,55 @@ class TestChaosCli:
                                   str(schedules[0]))
         assert code == 0
         assert "replayed" in out and "status=" in out
+
+    @pytest.mark.parametrize("text", [
+        "not json at all\n",
+        '{"version": 1, "plan": {"rate": "x"}}\n',
+        '{"version": 1, "plan": {"max_faults": -1}}\n',
+        '{"version": 1, "target": "moon", "plan": {}}\n',
+        '{"version": 1, "plan": {}}\n'
+        '{"index": 0, "site": "worker_crash", "seq": 0}\n',
+        '{"version": 1, "plan": {}, "meta": {}}\n',
+    ], ids=["not-json", "rate-x", "max-faults", "unknown-target",
+            "foreign-site", "no-source"])
+    def test_corrupt_schedule_replay_exits_1(self, tmp_path, text):
+        path = tmp_path / "corrupt.schedule.jsonl"
+        path.write_text(text)
+        code, out, err = run_cli("chaos", "--replay", str(path))
+        assert code == 1
+        assert err.startswith("invalid fault schedule: ")
+        assert out == ""
+
+    def test_missing_schedule_replay_exits_1(self, tmp_path):
+        code, _out, err = run_cli("chaos", "--replay",
+                                  str(tmp_path / "absent.jsonl"))
+        assert code == 1
+        assert "invalid fault schedule:" in err
+
+    @pytest.mark.parametrize("value", ["nan", "-0.1", "1.5", "often"])
+    def test_out_of_range_rate_rejected(self, program_file, value):
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(["chaos", program_file, "--rate", value])
+        assert exc.value.code == 2
+        assert "--rate" in err.getvalue()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--fault-rate", "nan"), ("--fault-rate", "1.01"),
+        ("--fault-rate", "-1"), ("--max-faults", "-1")])
+    def test_serve_rejects_bad_fault_plan(self, flag, value):
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(["serve", flag, value])
+        assert exc.value.code == 2
+        assert flag in err.getvalue()
+
+    def test_serve_fault_rate_one_is_valid(self):
+        from repro.cli import build_parser
+        args = build_parser().parse_args(
+            ["serve", "--fault-rate", "1.0", "--max-faults", "1"])
+        assert args.fault_rate == 1.0
+        assert args.max_faults == 1
 
     def test_driver_script_without_embedded_program_is_skipped(
             self, tmp_path):

@@ -15,10 +15,10 @@ from repro.bench.suite import get_benchmark
 from repro.chaos import run_chaos
 from repro.cli import main
 from repro.core.api import analyze
+from repro.faults import FaultPlan, load_schedule, save_schedule
 from repro.interp.machine import Machine, RunOptions
 from repro.obs.analyze import build_report, join_faults
 from repro.obs.flightrec import load_flight, validate_flight
-from repro.rtsj.faults import load_schedule
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from conftest import PRODUCER_CONSUMER_SOURCE  # noqa: E402
@@ -206,6 +206,31 @@ class TestInspectCLI:
         code, _, err = run_cli("inspect", str(bogus))
         assert code == 1
         assert "invalid flight record" in err
+
+    @pytest.mark.parametrize("text", [
+        "not json at all\n",
+        '{"version": 1, "plan": {"rate": "x"}}\n',
+        '{"version": 1, "plan": {"rate": NaN}}\n',
+        '{"version": 1, "plan": {}}\n[1, 2]\n',
+    ], ids=["not-json", "rate-x", "rate-nan", "bad-record"])
+    def test_corrupt_schedule_exits_1(self, dumps, tmp_path, text):
+        dyn, _ = dumps
+        schedule = tmp_path / "corrupt.schedule.jsonl"
+        schedule.write_text(text)
+        code, _, err = run_cli("inspect", str(dyn),
+                               "--schedule", str(schedule))
+        assert code == 1
+        assert "invalid fault schedule:" in err
+
+    def test_serve_schedule_is_rejected(self, dumps, tmp_path):
+        dyn, _ = dumps
+        schedule = tmp_path / "serve.schedule.jsonl"
+        save_schedule(str(schedule), FaultPlan(target="serve"), [])
+        code, _, err = run_cli("inspect", str(dyn),
+                               "--schedule", str(schedule))
+        assert code == 1
+        assert "invalid fault schedule:" in err
+        assert "serve schedule" in err
 
     def test_tampered_summary_exits_2(self, dumps, tmp_path):
         dyn, _ = dumps

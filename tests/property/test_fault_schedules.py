@@ -17,8 +17,8 @@ import pytest
 
 from repro import RunOptions
 from repro.errors import ReproError, SanitizerViolation
+from repro.faults import FaultPlan, fault_key
 from repro.interp.machine import Machine
-from repro.rtsj.faults import FaultPlan
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from conftest import (PRODUCER_CONSUMER_SOURCE, REALTIME_SOURCE,  # noqa: E402
@@ -86,7 +86,6 @@ class TestSeededFaultSchedules:
         analyzed = assert_well_typed(source)
         a, err_a = chaos_run(analyzed, seed=1)
         b, err_b = chaos_run(analyzed, seed=1)
-        from repro.rtsj.faults import fault_key
         assert fault_key(a.fault_injector.injected) == \
             fault_key(b.fault_injector.injected)
         assert a.stats.cycles == b.stats.cycles

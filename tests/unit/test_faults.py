@@ -1,14 +1,17 @@
-"""Unit tests for the deterministic fault-injection plane
-(:mod:`repro.rtsj.faults`)."""
+"""Unit tests for the deterministic fault kernel (:mod:`repro.faults`)
+on its runtime target, plus the runtime's recovery policy."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.rtsj.faults import (FAULT_SITES, FaultInjector, FaultPlan,
-                               FaultRecord, RecoveryPolicy,
-                               ReplayInjector, fault_key, load_schedule,
-                               save_schedule)
+from repro.faults import (TARGETS, FaultInjector, FaultPlan, FaultRecord,
+                          FaultScheduleError, ReplayInjector, fault_key,
+                          identity_mismatches, load_schedule,
+                          save_schedule)
+from repro.interp.machine import RecoveryPolicy
+
+FAULT_SITES = TARGETS["runtime"].sites
 
 
 class TestFaultPlan:
@@ -28,10 +31,62 @@ class TestFaultPlan:
         # filtered out entirely
         assert plan.rate_for("gc_pause_spike") == 0.0
 
+    @pytest.mark.parametrize("rate", [float("nan"), -0.1, 1.5,
+                                      float("inf"), "0.5", True])
+    def test_invalid_rate_rejected(self, rate):
+        # NaN used to fire at every consult (random() >= nan is False)
+        with pytest.raises(ValueError, match=r"must be a number in \[0, 1\]"):
+            FaultPlan(rate=rate)
+
+    @pytest.mark.parametrize("rate", [float("nan"), 2.0, -1])
+    def test_invalid_site_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="rate for vt_chunk"):
+            FaultPlan(rates={"vt_chunk": rate})
+
+    @pytest.mark.parametrize("cap", [-1, 2.5, True, "3"])
+    def test_invalid_max_faults_rejected(self, cap):
+        with pytest.raises(ValueError, match="max_faults"):
+            FaultPlan(max_faults=cap)
+
+    @pytest.mark.parametrize("rate,cap", [(0.0, 0), (1.0, None), (1, 5)])
+    def test_boundary_values_accepted(self, rate, cap):
+        plan = FaultPlan(rate=rate, max_faults=cap)
+        assert plan.rate == rate and plan.max_faults == cap
+
+    @pytest.mark.parametrize("data", [{"rate": "x"}, {"rate": "nan"},
+                                      {"rates": {"lt_alloc": 7}},
+                                      {"max_faults": -2}])
+    def test_from_dict_validates(self, data):
+        with pytest.raises(ValueError):
+            FaultPlan.from_dict(data)
+
+    def test_nan_rate_never_reaches_an_injector(self):
+        with pytest.raises(ValueError):
+            FaultInjector(FaultPlan(seed=0, rate=float("nan")))
+
+    def test_unknown_target_and_param_rejected(self):
+        with pytest.raises(ValueError, match="unknown fault target"):
+            FaultPlan(target="moon")
+        with pytest.raises(ValueError, match="plan parameter"):
+            FaultPlan(params={"stall_ms": 1.0})
+
+    def test_params_fill_target_defaults(self):
+        assert FaultPlan().params == {"gc_spike_factor": 8}
+        assert FaultPlan(target="serve").params == \
+            {"stall_ms": 2000.0, "spike_ms": 50.0}
+
+    def test_to_dict_writes_only_the_targets_keys(self):
+        assert set(FaultPlan().to_dict()) == {
+            "seed", "rate", "rates", "sites", "max_faults",
+            "gc_spike_factor"}
+        assert set(FaultPlan(target="serve").to_dict()) == {
+            "seed", "rate", "rates", "sites", "max_faults", "stall_ms",
+            "spike_ms"}
+
     def test_dict_roundtrip(self):
         plan = FaultPlan(seed=7, rate=0.25, rates={"lt_alloc": 1.0},
                          sites=("lt_alloc",), max_faults=3,
-                         gc_spike_factor=16)
+                         params={"gc_spike_factor": 16})
         assert FaultPlan.from_dict(plan.to_dict()) == plan
 
 
@@ -147,3 +202,53 @@ class TestSchedulePersistence:
         path.write_text("")
         with pytest.raises(ValueError, match="empty fault schedule"):
             load_schedule(str(path))
+
+    @pytest.mark.parametrize("text", [
+        "not json\n",
+        "[1, 2]\n",
+        '{"version": 1, "plan": {"rate": "x"}}\n',
+        '{"version": 1, "plan": {"rate": NaN}}\n',
+        '{"version": 1, "plan": []}\n',
+        '{"version": 1, "plan": {}}\n{"site": "lt_alloc"}\n',
+        '{"version": 1, "plan": {}}\n'
+        '{"index": 0, "site": "worker_crash", "seq": 0}\n',
+        '{"version": 1, "target": "moon", "plan": {}}\n',
+    ])
+    def test_corrupt_files_raise_one_typed_error(self, tmp_path, text):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
+        with pytest.raises(FaultScheduleError, match="bad.jsonl"):
+            load_schedule(str(path))
+
+    def test_missing_file_is_a_typed_error(self, tmp_path):
+        with pytest.raises(FaultScheduleError):
+            load_schedule(str(tmp_path / "absent.jsonl"))
+
+    def test_expected_target_is_enforced(self, tmp_path):
+        path = str(tmp_path / "serve.jsonl")
+        save_schedule(path, FaultPlan(target="serve"), [])
+        assert load_schedule(path)[0].target == "serve"
+        with pytest.raises(FaultScheduleError,
+                           match="serve schedule, not a runtime one"):
+            load_schedule(path, target="runtime")
+
+
+class TestIdentityMismatches:
+    def test_tuples_and_lists_compare_equal(self):
+        live = {"faults": [("lt_alloc", 3)], "cycles": 10}
+        persisted = {"faults": [["lt_alloc", 3]], "cycles": 10}
+        assert identity_mismatches(persisted, live) == []
+
+    def test_scalar_mismatch_names_both_values(self):
+        assert identity_mismatches({"cycles": 10}, {"cycles": 11}) == \
+            ["cycles: recorded 10 != replayed 11"]
+
+    def test_list_mismatch_reports_lengths_and_first_index(self):
+        lines = identity_mismatches({"statuses": [200, 599]},
+                                    {"statuses": [200, 200, 200]})
+        assert lines == ["statuses: recorded 2 item(s), replayed 3; "
+                         "first at index 1: 599 != 200"]
+
+    def test_only_recorded_keys_are_compared(self):
+        assert identity_mismatches({"cycles": 1},
+                                   {"cycles": 1, "extra": 2}) == []

@@ -12,8 +12,8 @@ from repro import RunOptions, analyze, run_source
 from repro.errors import (IllegalAssignmentError, OutOfMemoryError,
                           OutOfRegionMemoryError, SanitizerViolation,
                           ThreadCrashError)
-from repro.interp.machine import Machine
-from repro.rtsj.faults import FaultPlan, RecoveryPolicy
+from repro.faults import FaultPlan
+from repro.interp.machine import Machine, RecoveryPolicy
 from repro.rtsj.regions import LT, MemoryArea, RegionManager
 from repro.rtsj.stats import Stats
 from repro.rtsj.threads import Scheduler, SimThread
