@@ -43,7 +43,8 @@ from ..core.api import AnalyzedProgram, analyze
 from ..errors import ReproError, SanitizerViolation
 from ..faults import (FaultPlan, FaultRecord, FaultScheduleError,
                       ReplayInjector, fault_key, identity_mismatches,
-                      load_schedule, save_schedule)
+                      load_schedule, meta_count, meta_identity,
+                      save_schedule)
 from ..interp.machine import Machine, RunOptions
 
 #: chaos runs bound the clock tightly: an injected fault that degrades
@@ -305,19 +306,20 @@ def replay_schedule(path: str,
     """Re-execute a persisted schedule file.  The program source
     embedded in the schedule's metadata is used unless ``source``
     overrides it.  Returns {ok, mismatches, outcome}.  A schedule file
-    that is unreadable, not a runtime schedule, or without a program
-    raises :class:`~repro.faults.FaultScheduleError`."""
+    that is unreadable, not a runtime schedule, without a program, or
+    with a malformed ``max_cycles``/``identity`` raises
+    :class:`~repro.faults.FaultScheduleError`."""
     plan, records, meta = load_schedule(path, target="runtime")
     program = source if source is not None else meta.get("source")
     if not program:
         raise FaultScheduleError(
             f"schedule {path} embeds no program source; pass the "
             "program explicitly")
-    max_cycles = int(meta.get("max_cycles", DEFAULT_MAX_CYCLES))
+    max_cycles = meta_count(meta, "max_cycles", DEFAULT_MAX_CYCLES, path)
+    recorded = meta_identity(meta, path)
     outcome = run_one(program, injector=ReplayInjector(records, plan),
                       label=str(meta.get("program", path)),
                       max_cycles=max_cycles)
-    recorded = meta.get("identity")
     mismatches = ([] if recorded is None
                   else identity_mismatches(recorded, outcome.identity()))
     return {"ok": not mismatches, "mismatches": mismatches,

@@ -315,6 +315,32 @@ def load_schedule(path: str, target: Optional[str] = None
         raise FaultScheduleError(f"{path}: {err}") from err
 
 
+def meta_count(meta: Mapping[str, Any], key: str, default: int,
+               path: str) -> int:
+    """A schedule ``meta`` count (``max_cycles``, ``requests``,
+    ``workers``): ``default`` when absent, else it must be an integer
+    >= 1 (a bool is not a count).  Raises :class:`FaultScheduleError`."""
+    value = meta.get(key, default)
+    if type(value) is not int or value < 1:
+        raise FaultScheduleError(
+            f"{path}: meta.{key} must be an integer >= 1, not {value!r}")
+    return value
+
+
+def meta_identity(meta: Mapping[str, Any],
+                  path: str) -> Optional[Dict[str, Any]]:
+    """The recorded identity a replay is diffed against (None when the
+    schedule carries none); anything but an object raises
+    :class:`FaultScheduleError`."""
+    if "identity" not in meta:
+        return None
+    identity = meta["identity"]
+    if not isinstance(identity, dict):
+        raise FaultScheduleError(
+            f"{path}: meta.identity must be an object, not {identity!r}")
+    return identity
+
+
 def identity_mismatches(recorded: Mapping[str, Any],
                         replayed: Mapping[str, Any]) -> List[str]:
     """Diff a replay's identity against the recorded one, key by key

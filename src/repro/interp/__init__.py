@@ -3,8 +3,8 @@ language running on the simulated RTSJ platform of :mod:`repro.rtsj`.
 
 * :mod:`~repro.interp.values`      — runtime values (region handles).
 * :mod:`~repro.interp.interpreter` — generator-based tree-walking
-  interpreter; every operation yields its cycle cost so the scheduler can
-  preempt between any two operations.
+  interpreter; every operation charges its cycle cost to the clock, and
+  the thread can be preempted after any charge.
 * :mod:`~repro.interp.machine`     — ties program + regions + GC +
   scheduler + checks together; the public ``run_source`` entry point.
 * :mod:`~repro.interp.translate`   — the Section 2.6 translation to RTSJ

@@ -25,15 +25,16 @@ backend auto-skips, it never fails a run.
 Exactness follows the fused Python backend's contract (cycles, output
 and every ``Stats.summary()`` counter byte-identical, or bail): the C
 code computes cycles/steps/counters in int64 globals and a tagged
-output stream; the host coroutine wrapper commits them through the
-same single mega-yield protocol as the fused backend (plus one
-``charge_direct`` call for region-exit charges), or flags
-``program_bailed``.  Conditions C cannot reproduce exactly bail via
-``longjmp``: simulated failures (null deref, bounds, LT overflow,
-division by zero, a failed ``check``), int64 overflow (host ints are
-unbounded), int/float comparisons beyond 2**53 (the host compares
-exactly, C would round), ``max_cycles``/GC-trigger crossings,
-recursion past the C guard depth, and output-buffer overflow.
+output stream; the host coroutine wrapper commits them as the same
+single mega-charge as the fused backend (plus one ``charge_direct``
+call for region-exit charges), yielding only if the charge reaches
+the slice deadline, or flags ``program_bailed``.  Conditions C cannot
+reproduce exactly bail via ``longjmp``: simulated failures (null
+deref, bounds, LT overflow, division by zero, a failed ``check``),
+int64 overflow (host ints are unbounded), int/float comparisons
+beyond 2**53 (the host compares exactly, C would round),
+``max_cycles``/GC-trigger crossings, recursion past the C guard
+depth, and output-buffer overflow.
 
 Objects are arena-allocated ``{area, len, slots[]}`` records; a class
 instance's slot array is its fields (inherited first, the layout the
@@ -1231,7 +1232,6 @@ def _make_bind(lib: Any) -> Any:
                 out, 2 * _OUT_RECORDS, res)
             if status != 0:
                 machine.program_bailed = True
-                yield 0
                 return
             # region-exit charges commit outside the quantum, exactly
             # as the interpreter's finally blocks do
@@ -1239,7 +1239,6 @@ def _make_bind(lib: Any) -> Any:
             cy = res[_R_CY]
             if st.cycles + cy > maxc or res[_R_HEAP] >= gct:
                 machine.program_bailed = True
-                yield 0
                 return
             st.steps += res[_R_SP]
             st.allocations += res[_R_ALLOCS]
@@ -1269,7 +1268,9 @@ def _make_bind(lib: Any) -> Any:
                 else:
                     output.append("true" if bits else "false")
                 i += 2
-            yield cy
+            st.cycles += cy
+            if st.cycles >= st.slice_end:
+                yield
         return main_co
     return bind
 

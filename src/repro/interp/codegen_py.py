@@ -2,10 +2,12 @@
 
 ``compile_fused`` turns a lowered, hazard-free program into one flat
 Python function per method body.  Simulated cycles become *integer
-arithmetic on a local* (``cy``) instead of a stream of generator
-yields; the whole run commits through a single mega-yield, so the
-scheduler round-robin, the generator resume chain, and the per-yield
-bookkeeping all disappear from the hot path.  Dynamic checks are
+arithmetic on a local* (``cy``) instead of a charge per operation; the
+whole run commits as a single mega-charge on the clock, so the
+scheduler round-robin, the generator resume chain, and the per-charge
+bookkeeping all disappear from the hot path.  The coroutine wrapper
+follows the interpreter's slice protocol: it yields (ends the slice)
+only when the mega-charge reaches the slice deadline.  Dynamic checks are
 *erased at emit time*: when ``checks_enabled`` is off and the value's
 static type is primitive, no check code is generated at all.
 
@@ -823,7 +825,9 @@ class _FusedEmitter:
             self.emit_unit(self.low.units[key])
         self.emit_dispatch()
         self.emit_unit(self.low.units[_MAIN_KEY])
-        # the coroutine wrapper: one mega-yield, or a flagged bail
+        # the coroutine wrapper: one mega-charge, ending the slice only
+        # if it reaches the deadline (like any interpreter charge), or
+        # a flagged bail
         w.emit("def main_co(T):")
         w.indent()
         w.emit("ok = True")
@@ -839,11 +843,14 @@ class _FusedEmitter:
                "or HEAP.bytes_used >= GCT:")
         w.indent()
         w.emit("M.program_bailed = True")
-        w.emit("yield 0")
         w.emit("return")
         w.dedent()
         w.emit("ST.steps += CY[1]")
-        w.emit("yield CY[0]")
+        w.emit("ST.cycles += CY[0]")
+        w.emit("if ST.cycles >= ST.slice_end:")
+        w.indent()
+        w.emit("yield")
+        w.dedent()
         w.dedent()
         w.emit("return main_co")
         w.dedent()

@@ -1,11 +1,14 @@
 """Generator-based tree-walking interpreter with compiled dispatch.
 
-Every ``eval``/``exec`` produces a Python generator that yields cycle
-costs (ints) or the scheduler sentinel :data:`~repro.rtsj.threads.YIELD`;
-the scheduler in :mod:`repro.rtsj.threads` drives thread coroutines round
-robin, so threads can interleave between any two simulated operations —
-which is what makes the producer/consumer and real-time experiments
-meaningful.
+Every statement and expression runs as a Python generator.  A simulated
+cost is charged straight onto the clock (``stats.cycles += cost``), and
+the generator yields only when that charge reaches the running slice's
+deadline, ``stats.slice_end``, or when the program calls ``yieldnow()``.
+The scheduler in :mod:`repro.rtsj.threads` drives thread coroutines
+round robin, one resume per slice, so threads can still interleave
+between any two simulated operations — which is what makes the
+producer/consumer and real-time experiments meaningful — while the
+generator resume chain is walked once per slice, not once per charge.
 
 The interpreter is *owner-passing*: objects carry their runtime owners so
 allocation sites can resolve their target region directly.  A real
@@ -30,9 +33,10 @@ identity.
 Two invariants the compiler must preserve exactly, because the paper's
 numbers are *simulated* cycle counts:
 
-* the **yield sequence** (values and order) of every construct is
-  byte-identical to the reference tree-walker — preemption points and the
-  global clock depend on it;
+* the **charge sequence and slice boundaries** of every construct are
+  byte-identical to the reference tree-walker: the same costs, charged
+  in the same order, each one a possible preemption point — the global
+  clock and thread interleaving depend on it;
 * errors keep their type, message, and *timing* — an unknown node or
   builtin raises when it first executes, never at compile time (unknown
   forms compile to closures that raise).
@@ -59,7 +63,7 @@ from ..errors import (InterpreterError, MemoryAccessError,
 from ..lang import ast
 from ..rtsj.objects import ArrayStorage, ObjRef, make_array
 from ..rtsj.regions import LT, MemoryArea, VT, release_shared
-from ..rtsj.threads import SimThread, YIELD
+from ..rtsj.threads import SimThread
 from .values import RegionHandle, format_value, region_of_owner
 
 
@@ -435,13 +439,16 @@ class Interpreter:
     def _native_code(self, native: str):
         """Compile a native (array) method to an ``(obj, args)``
         generator function."""
+        stats = self.stats
         op = native.split(".")[1]
         if op == "get":
             cycles = self._c_field_read
 
             def run_get(obj, args):
                 storage: ArrayStorage = obj.fields["__storage__"]
-                yield cycles
+                stats.cycles += cycles
+                if stats.cycles >= stats.slice_end:
+                    yield
                 values = storage.values
                 index = args[0]
                 if 0 <= index < len(values):
@@ -455,7 +462,9 @@ class Interpreter:
 
             def run_set(obj, args):
                 storage: ArrayStorage = obj.fields["__storage__"]
-                yield cycles
+                stats.cycles += cycles
+                if stats.cycles >= stats.slice_end:
+                    yield
                 index = args[0]
                 values = storage.values
                 if not 0 <= index < len(values):
@@ -470,7 +479,9 @@ class Interpreter:
 
             def run_length(obj, args):
                 storage: ArrayStorage = obj.fields["__storage__"]
-                yield cycles
+                stats.cycles += cycles
+                if stats.cycles >= stats.slice_end:
+                    yield
                 return len(storage.values)
             return run_length
 
@@ -478,9 +489,6 @@ class Interpreter:
             raise InterpreterError(f"unknown native '{native}'")
             yield  # pragma: no cover
         return run_unknown
-
-    def _native_call(self, obj: ObjRef, native: str, args: Tuple[Any, ...]):
-        yield from self._native_code(native)(obj, args)
 
     def _array_index(self, storage: ArrayStorage, index: int) -> Any:
         if not 0 <= index < len(storage.values):
@@ -496,14 +504,6 @@ class Interpreter:
     def exec_block(self, block: ast.Block, frame: Frame,
                    region: MemoryArea, thread: SimThread):
         return self._compile_block(block)(frame, region, thread)
-
-    def exec_stmt(self, stmt: ast.Stmt, frame: Frame, region: MemoryArea,
-                  thread: SimThread):
-        return self._compile_stmt(stmt)(frame, region, thread)
-
-    def eval_expr(self, expr: ast.Expr, frame: Frame, region: MemoryArea,
-                  thread: SimThread):
-        return self._compile_expr(expr)(frame, region, thread)
 
     def _compile_block(self, block: ast.Block):
         code = self._block_code.get(id(block))
@@ -570,14 +570,14 @@ class Interpreter:
 
         Flat operands — literals, ``this``, variable reads — are the
         leaves of almost every hot expression; evaluating each through
-        its own generator costs a frame creation plus one resume of the
-        whole coroutine chain per yield.  Consumers therefore inline
-        them: the returned ``(kind, payload, span, code)`` tuple drives
-        a small compile-time-constant branch inside the consumer's own
-        generator, reproducing the leaf's exact yield sequence and
+        its own generator costs a generator creation and a ``yield
+        from`` per evaluation.  Consumers therefore inline them: the
+        returned ``(kind, payload, span, code)`` tuple drives a small
+        compile-time-constant branch inside the consumer's own
+        generator, reproducing the leaf's exact charge sequence and
         ``temps`` bookkeeping without a nested frame.
 
-        kind 0 = constant (payload is the value; literals yield nothing),
+        kind 0 = constant (payload is the value; literals charge nothing),
         kind 1 = variable reference (payload is the name; falls back to
         an implicit-this field read when the name is not a local),
         kind 2 = ``this``, kind 3 = anything else (``code`` is the
@@ -626,7 +626,9 @@ class Interpreter:
             def run(frame, region, thread):
                 stats.steps += 1
                 frame.temps.clear()
-                yield op_local
+                stats.cycles += op_local
+                if stats.cycles >= stats.slice_end:
+                    yield
                 frame.vars[name] = None
             return run
         field_read = self._field_read
@@ -640,7 +642,9 @@ class Interpreter:
             elif v_kind == 1:
                 value = frame.vars.get(v_val, _MISSING)
                 if value is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    if stats.cycles >= stats.slice_end:
+                        yield
                 else:
                     value = yield from field_read(frame.this, v_val,
                                                   thread, v_span)
@@ -652,7 +656,9 @@ class Interpreter:
                     frame.temps.append(value)
             else:
                 value = yield from v_code(frame, region, thread)
-            yield op_local
+            stats.cycles += op_local
+            if stats.cycles >= stats.slice_end:
+                yield
             frame.vars[name] = value
         return run
 
@@ -673,7 +679,9 @@ class Interpreter:
             elif v_kind == 1:
                 value = frame.vars.get(v_val, _MISSING)
                 if value is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    if stats.cycles >= stats.slice_end:
+                        yield
                 else:
                     value = yield from field_read(frame.this, v_val,
                                                   thread, v_span)
@@ -686,7 +694,9 @@ class Interpreter:
             else:
                 value = yield from v_code(frame, region, thread)
             if name in frame.vars:
-                yield op_local
+                stats.cycles += op_local
+                if stats.cycles >= stats.slice_end:
+                    yield
                 frame.vars[name] = value
             else:
                 yield from field_write(frame.this, name, value,
@@ -718,7 +728,9 @@ class Interpreter:
                 elif v_kind == 1:
                     value = frame.vars.get(v_val, _MISSING)
                     if value is not _MISSING:
-                        yield op_local
+                        stats.cycles += op_local
+                        if stats.cycles >= stats.slice_end:
+                            yield
                     else:
                         value = yield from field_read(frame.this, v_val,
                                                       thread, v_span)
@@ -735,7 +747,9 @@ class Interpreter:
                                             thread, span)
                     return
                 recv = frame.vars[cls_name]
-                yield op_local
+                stats.cycles += op_local
+                if stats.cycles >= stats.slice_end:
+                    yield
                 if isinstance(recv, ObjRef):
                     frame.temps.append(recv)
                 if isinstance(recv, RegionHandle):
@@ -756,7 +770,9 @@ class Interpreter:
             elif v_kind == 1:
                 value = frame.vars.get(v_val, _MISSING)
                 if value is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    if stats.cycles >= stats.slice_end:
+                        yield
                 else:
                     value = yield from field_read(frame.this, v_val,
                                                   thread, v_span)
@@ -771,7 +787,9 @@ class Interpreter:
             if t_kind == 1:
                 recv = frame.vars.get(t_val, _MISSING)
                 if recv is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    if stats.cycles >= stats.slice_end:
+                        yield
                 else:
                     recv = yield from field_read(frame.this, t_val,
                                                  thread, t_span)
@@ -848,7 +866,9 @@ class Interpreter:
                 elif l_kind == 1:
                     left = frame.vars.get(l_val, _MISSING)
                     if left is not _MISSING:
-                        yield op_local
+                        stats.cycles += op_local
+                        if stats.cycles >= stats.slice_end:
+                            yield
                     else:
                         left = yield from field_read(frame.this, l_val,
                                                      thread, l_span)
@@ -863,7 +883,9 @@ class Interpreter:
                 elif r_kind == 1:
                     right = frame.vars.get(r_val, _MISSING)
                     if right is not _MISSING:
-                        yield op_local
+                        stats.cycles += op_local
+                        if stats.cycles >= stats.slice_end:
+                            yield
                     else:
                         right = yield from field_read(frame.this, r_val,
                                                       thread, r_span)
@@ -873,9 +895,13 @@ class Interpreter:
                     right = frame.this
                     if right is not None:
                         frame.temps.append(right)
-                yield op_basic
+                stats.cycles += op_basic
+                if stats.cycles >= stats.slice_end:
+                    yield
                 cond = fn(left, right)
-                yield op_branch
+                stats.cycles += op_branch
+                if stats.cycles >= stats.slice_end:
+                    yield
                 if cond:
                     yield from then_code(frame, region, thread)
                 elif else_code is not None:
@@ -888,7 +914,9 @@ class Interpreter:
             stats.steps += 1
             frame.temps.clear()
             cond = yield from cond_code(frame, region, thread)
-            yield op_branch
+            stats.cycles += op_branch
+            if stats.cycles >= stats.slice_end:
+                yield
             if cond:
                 yield from then_code(frame, region, thread)
             elif else_code is not None:
@@ -917,7 +945,9 @@ class Interpreter:
                     elif l_kind == 1:
                         left = frame.vars.get(l_val, _MISSING)
                         if left is not _MISSING:
-                            yield op_local
+                            stats.cycles += op_local
+                            if stats.cycles >= stats.slice_end:
+                                yield
                         else:
                             left = yield from field_read(
                                 frame.this, l_val, thread, l_span)
@@ -932,7 +962,9 @@ class Interpreter:
                     elif r_kind == 1:
                         right = frame.vars.get(r_val, _MISSING)
                         if right is not _MISSING:
-                            yield op_local
+                            stats.cycles += op_local
+                            if stats.cycles >= stats.slice_end:
+                                yield
                         else:
                             right = yield from field_read(
                                 frame.this, r_val, thread, r_span)
@@ -942,9 +974,13 @@ class Interpreter:
                         right = frame.this
                         if right is not None:
                             frame.temps.append(right)
-                    yield op_basic
+                    stats.cycles += op_basic
+                    if stats.cycles >= stats.slice_end:
+                        yield
                     cond = fn(left, right)
-                    yield op_branch
+                    stats.cycles += op_branch
+                    if stats.cycles >= stats.slice_end:
+                        yield
                     if not cond:
                         break
                     yield from body_code(frame, region, thread)
@@ -957,7 +993,9 @@ class Interpreter:
             frame.temps.clear()
             while True:
                 cond = yield from cond_code(frame, region, thread)
-                yield op_branch
+                stats.cycles += op_branch
+                if stats.cycles >= stats.slice_end:
+                    yield
                 if not cond:
                     break
                 yield from body_code(frame, region, thread)
@@ -980,7 +1018,9 @@ class Interpreter:
             elif v_kind == 1:
                 value = frame.vars.get(v_val, _MISSING)
                 if value is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    if stats.cycles >= stats.slice_end:
+                        yield
                 else:
                     value = yield from field_read(frame.this, v_val,
                                                   thread, v_span)
@@ -992,7 +1032,9 @@ class Interpreter:
                     frame.temps.append(value)
             else:
                 value = yield from v_code(frame, region, thread)
-            yield op_return
+            stats.cycles += op_return
+            if stats.cycles >= stats.slice_end:
+                yield
             raise _Return(value)
         return run
 
@@ -1048,7 +1090,9 @@ class Interpreter:
                                        budget, ancestors, None, False,
                                        thread)
             stats.region_cycles += cycles
-            yield cycles
+            stats.cycles += cycles
+            if stats.cycles >= stats.slice_end:
+                yield
             saved_owner = frame.owners.get(region_name)
             saved_var = frame.vars.get(handle_name)
             frame.owners[region_name] = area
@@ -1064,8 +1108,8 @@ class Interpreter:
             try:
                 yield from body_code(frame, area, thread)
             finally:
-                # charged directly: yielding inside a finally would
-                # break generator close semantics
+                # charged directly: a finally must not suspend (that
+                # would break generator close semantics)
                 charge_direct(thread, region_exit)
                 stats.region_cycles += region_exit
                 tracer.end("region-exit", area.name, cycle=stats.cycles,
@@ -1115,7 +1159,9 @@ class Interpreter:
             if h_kind == 1:
                 handle = frame.vars.get(h_val, _MISSING)
                 if handle is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    if stats.cycles >= stats.slice_end:
+                        yield
                 else:
                     handle = yield from field_read(frame.this, h_val,
                                                    thread, h_span)
@@ -1154,7 +1200,9 @@ class Interpreter:
                     sub.realtime, thread)
                 parent.subregions[sub_name] = slot
                 stats.region_cycles += cycles
-                yield cycles
+                stats.cycles += cycles
+                if stats.cycles >= stats.slice_end:
+                    yield
             if rt_guard:
                 if thread.realtime and not slot.realtime_only:
                     raise RealtimeViolationError(
@@ -1168,7 +1216,9 @@ class Interpreter:
                 # the persistent subregion slot stays valid on denial;
                 # only this thread's entry is refused
                 yield from enter_guard(slot.name, thread)
-            yield region_enter
+            stats.cycles += region_enter
+            if stats.cycles >= stats.slice_end:
+                yield
             stats.region_cycles += region_enter
             stats.region_enters += 1
             slot.thread_count += 1
@@ -1220,6 +1270,7 @@ class Interpreter:
 
     def _field_write_checked(self, recv: Any, field_name: str, value: Any,
                              thread: SimThread, span):
+        stats = self.stats
         obj = self._require_object(recv, span,
                                    f"field write '{field_name}'")
         fields = obj.fields
@@ -1237,11 +1288,14 @@ class Interpreter:
         if value_is_ref or isinstance(old, ObjRef):
             cycles += checks.read_cost(thread.realtime, value, old,
                                        line, thread.name)
-        yield cycles
+        stats.cycles += cycles
+        if stats.cycles >= stats.slice_end:
+            yield
         fields[field_name] = value
 
     def _field_write_unchecked(self, recv: Any, field_name: str,
                                value: Any, thread: SimThread, span):
+        stats = self.stats
         if recv is None:
             raise SimulatedNullPointerError(
                 f"field write '{field_name}' on null at {span}")
@@ -1249,11 +1303,14 @@ class Interpreter:
         if field_name not in fields:
             raise InterpreterError(
                 f"{recv!r} has no field '{field_name}'")
-        yield self._c_field_write
+        stats.cycles += self._c_field_write
+        if stats.cycles >= stats.slice_end:
+            yield
         fields[field_name] = value
 
     def _field_read_checked(self, recv: Any, field_name: str,
                             thread: SimThread, span):
+        stats = self.stats
         obj = self._require_object(recv, span,
                                    f"field read '{field_name}'")
         fields = obj.fields
@@ -1265,11 +1322,14 @@ class Interpreter:
             cycles += self.checks.read_cost(thread.realtime, value,
                                             line=span.start.line,
                                             thread=thread.name)
-        yield cycles
+        stats.cycles += cycles
+        if stats.cycles >= stats.slice_end:
+            yield
         return value
 
     def _field_read_unchecked(self, recv: Any, field_name: str,
                               thread: SimThread, span):
+        stats = self.stats
         if recv is None:
             raise SimulatedNullPointerError(
                 f"field read '{field_name}' on null at {span}")
@@ -1277,11 +1337,14 @@ class Interpreter:
         if field_name not in fields:
             raise InterpreterError(
                 f"{recv!r} has no field '{field_name}'")
-        yield self._c_field_read
+        stats.cycles += self._c_field_read
+        if stats.cycles >= stats.slice_end:
+            yield
         return fields[field_name]
 
     def _static_write_checked(self, class_name: str, field_name: str,
                               value: Any, thread: SimThread, span):
+        stats = self.stats
         key = (class_name, field_name)
         statics = self.machine.statics
         old = statics.get(key)
@@ -1296,32 +1359,44 @@ class Interpreter:
         if value_is_ref or isinstance(old, ObjRef):
             cycles += checks.read_cost(thread.realtime, value, old,
                                        line, thread.name)
-        yield cycles
+        stats.cycles += cycles
+        if stats.cycles >= stats.slice_end:
+            yield
         statics[key] = value
 
     def _static_write_unchecked(self, class_name: str, field_name: str,
                                 value: Any, thread: SimThread, span):
-        yield self._c_field_write
+        stats = self.stats
+        stats.cycles += self._c_field_write
+        if stats.cycles >= stats.slice_end:
+            yield
         self.machine.statics[(class_name, field_name)] = value
 
     def _static_read_checked(self, class_name: str, field_name: str,
                              thread: SimThread, span):
+        stats = self.stats
         value = self.machine.statics.get((class_name, field_name))
         cycles = self._c_field_read
         if isinstance(value, ObjRef):
             cycles += self.checks.read_cost(thread.realtime, value,
                                             line=span.start.line,
                                             thread=thread.name)
-        yield cycles
+        stats.cycles += cycles
+        if stats.cycles >= stats.slice_end:
+            yield
         return value
 
     def _static_read_unchecked(self, class_name: str, field_name: str,
                                thread: SimThread, span):
-        yield self._c_field_read
+        stats = self.stats
+        stats.cycles += self._c_field_read
+        if stats.cycles >= stats.slice_end:
+            yield
         return self.machine.statics.get((class_name, field_name))
 
     def _portal_write_checked(self, area: MemoryArea, field_name: str,
                               value: Any, thread: SimThread, span):
+        stats = self.stats
         portals = area.portals
         if field_name not in portals:
             raise InterpreterError(
@@ -1337,20 +1412,26 @@ class Interpreter:
         if value_is_ref or isinstance(old, ObjRef):
             cycles += checks.read_cost(thread.realtime, value, old,
                                        line, thread.name)
-        yield cycles
+        stats.cycles += cycles
+        if stats.cycles >= stats.slice_end:
+            yield
         portals[field_name] = value
 
     def _portal_write_unchecked(self, area: MemoryArea, field_name: str,
                                 value: Any, thread: SimThread, span):
+        stats = self.stats
         portals = area.portals
         if field_name not in portals:
             raise InterpreterError(
                 f"region '{area.name}' has no portal '{field_name}'")
-        yield self._c_portal_write
+        stats.cycles += self._c_portal_write
+        if stats.cycles >= stats.slice_end:
+            yield
         portals[field_name] = value
 
     def _portal_read_checked(self, area: MemoryArea, field_name: str,
                              thread: SimThread, span):
+        stats = self.stats
         portals = area.portals
         if field_name not in portals:
             raise InterpreterError(
@@ -1361,16 +1442,21 @@ class Interpreter:
             cycles += self.checks.read_cost(thread.realtime, value,
                                             line=span.start.line,
                                             thread=thread.name)
-        yield cycles
+        stats.cycles += cycles
+        if stats.cycles >= stats.slice_end:
+            yield
         return value
 
     def _portal_read_unchecked(self, area: MemoryArea, field_name: str,
                                thread: SimThread, span):
+        stats = self.stats
         portals = area.portals
         if field_name not in portals:
             raise InterpreterError(
                 f"region '{area.name}' has no portal '{field_name}'")
-        yield self._c_portal_read
+        stats.cycles += self._c_portal_read
+        if stats.cycles >= stats.slice_end:
+            yield
         return portals[field_name]
 
     # -- regions ----------------------------------------------------------
@@ -1445,8 +1531,8 @@ class Interpreter:
     #
     # These generators exist only on chaos runs (the compiled closures
     # call them solely when an injector is bound).  Backoff is charged
-    # to the simulated clock by *yielding* the cycles, so recovery has
-    # an honest cost in the Figure-12 currency and is preemptible.
+    # to the simulated clock like any operation, so recovery has an
+    # honest cost in the Figure-12 currency and is preemptible.
 
     def _backoff(self, attempt: int, thread_name: str = "main"):
         """Charge the exponential backoff before retry ``attempt``."""
@@ -1459,7 +1545,9 @@ class Interpreter:
             rec.record("recovery", f"retry {attempt}",
                        cycle=stats.cycles, thread=thread_name,
                        attrs={"backoff": backoff, "attempt": attempt})
-        yield backoff
+        stats.cycles += backoff
+        if stats.cycles >= stats.slice_end:
+            yield
 
     def _alloc_with_recovery(self, target: MemoryArea, obj,
                              thread: SimThread):
@@ -1611,14 +1699,16 @@ class Interpreter:
     def _exec_fork(self, stmt: ast.Fork, frame: Frame, region: MemoryArea,
                    thread: SimThread):
         call = stmt.call
-        receiver = yield from self.eval_expr(call.target, frame, region,
-                                             thread)
+        stats = self.stats
+        compile_expr = self._compile_expr
+        receiver = yield from compile_expr(call.target)(frame, region,
+                                                        thread)
         obj = self._require_object(receiver, stmt.span, "fork")
         owner_values = tuple(self.owner_value(o.name, frame)
                              for o in call.owner_args)
         args = []
         for arg in call.args:
-            value = yield from self.eval_expr(arg, frame, region, thread)
+            value = yield from compile_expr(arg)(frame, region, thread)
             args.append(value)
         if stmt.realtime and self.checks.active:
             for value in [obj] + args:
@@ -1626,8 +1716,11 @@ class Interpreter:
                     raise MemoryAccessError(
                         "RT fork passed a heap reference "
                         f"{value!r} to a no-heap real-time thread")
-        yield self.cost.thread_spawn
-        self.stats.thread_cycles += self.cost.thread_spawn
+        thread_spawn = self.cost.thread_spawn
+        stats.cycles += thread_spawn
+        if stats.cycles >= stats.slice_end:
+            yield
+        stats.thread_cycles += thread_spawn
         name = f"{'rt-' if stmt.realtime else ''}thread-" \
                f"{len(self.machine.scheduler.threads)}"
         child = SimThread(name=name, coroutine=iter(()),
@@ -1639,17 +1732,17 @@ class Interpreter:
         for area in thread.shared_stack:
             area.thread_count += 1
             child.shared_stack.append(area)
-        self.stats.tracer.emit(
+        stats.tracer.emit(
             "thread-spawned",
             f"{name}{' (realtime)' if stmt.realtime else ''}",
-            cycle=self.stats.cycles, thread=thread.name,
+            cycle=stats.cycles, thread=thread.name,
             attrs={"child": name, "realtime": stmt.realtime,
                    "method": call.method_name})
         rec = self._recorder
         if rec is not None:
             # the spawn event becomes the child's causal root
             eid = rec.record("thread-spawned", name,
-                             cycle=self.stats.cycles, thread=thread.name,
+                             cycle=stats.cycles, thread=thread.name,
                              attrs={"child": name,
                                     "realtime": stmt.realtime,
                                     "method": call.method_name})
@@ -1678,6 +1771,7 @@ class Interpreter:
         return _run_this
 
     def _build_var_ref(self, expr: ast.VarRef):
+        stats = self.stats
         name = expr.name
         span = expr.span
         op_local = self._c_local
@@ -1686,7 +1780,9 @@ class Interpreter:
         def run(frame, region, thread):
             value = frame.vars.get(name, _MISSING)
             if value is not _MISSING:
-                yield op_local
+                stats.cycles += op_local
+                if stats.cycles >= stats.slice_end:
+                    yield
             else:
                 value = yield from field_read(frame.this, name, thread,
                                               span)
@@ -1783,14 +1879,17 @@ class Interpreter:
                            attrs={"bytes": size, "region": target.name,
                                   "policy": target.policy,
                                   "owner": owner_label, "line": line})
-            # pin before yielding the allocation cost: a GC at this very
+            # pin before charging the allocation cost: a GC at this very
             # preemption point must see the newborn object
             frame.temps.append(obj)
-            yield cycles
+            stats.cycles += cycles
+            if stats.cycles >= stats.slice_end:
+                yield
             return obj
         return run
 
     def _build_field_read(self, expr: ast.FieldRead):
+        stats = self.stats
         fname = expr.field_name
         span = expr.span
         op_local = self._c_local
@@ -1808,7 +1907,9 @@ class Interpreter:
                                                    thread, span)
                 else:
                     recv = frame.vars[cls_name]
-                    yield op_local
+                    stats.cycles += op_local
+                    if stats.cycles >= stats.slice_end:
+                        yield
                     if isinstance(recv, ObjRef):
                         frame.temps.append(recv)
                     if isinstance(recv, RegionHandle):
@@ -1828,7 +1929,9 @@ class Interpreter:
             if t_kind == 1:
                 recv = frame.vars.get(t_val, _MISSING)
                 if recv is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    if stats.cycles >= stats.slice_end:
+                        yield
                 else:
                     recv = yield from field_read(frame.this, t_val,
                                                  thread, t_span)
@@ -1878,7 +1981,9 @@ class Interpreter:
             if t_kind == 1:
                 recv = frame.vars.get(t_val, _MISSING)
                 if recv is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    if stats.cycles >= stats.slice_end:
+                        yield
                 else:
                     recv = yield from field_read(frame.this, t_val,
                                                  thread, t_span)
@@ -1902,7 +2007,9 @@ class Interpreter:
                 elif a_kind == 1:
                     value = frame.vars.get(a_val, _MISSING)
                     if value is not _MISSING:
-                        yield op_local
+                        stats.cycles += op_local
+                        if stats.cycles >= stats.slice_end:
+                            yield
                     else:
                         value = yield from field_read(frame.this, a_val,
                                                       thread, a_span)
@@ -1918,7 +2025,9 @@ class Interpreter:
             if obj.class_name not in ("IntArray", "FloatArray"):
                 # primitive-array accesses compile to plain loads/stores
                 # on a JVM; only real method calls pay call overhead
-                yield op_invoke
+                stats.cycles += op_invoke
+                if stats.cycles >= stats.slice_end:
+                    yield
             entry = call_entry(obj, method_name)
             if entry[0] is not None:
                 # native (array) methods run in the invoke frame itself
@@ -1933,6 +2042,7 @@ class Interpreter:
         return run
 
     def _build_binary(self, expr: ast.Binary):
+        stats = self.stats
         op = expr.op
         op_basic = self._c_basic
         left_code = self._compile_expr(expr.left)
@@ -1940,7 +2050,9 @@ class Interpreter:
         if op == "&&":
             def run(frame, region, thread):
                 left = yield from left_code(frame, region, thread)
-                yield op_basic
+                stats.cycles += op_basic
+                if stats.cycles >= stats.slice_end:
+                    yield
                 if not left:
                     return False
                 right = yield from right_code(frame, region, thread)
@@ -1949,7 +2061,9 @@ class Interpreter:
         if op == "||":
             def run(frame, region, thread):
                 left = yield from left_code(frame, region, thread)
-                yield op_basic
+                stats.cycles += op_basic
+                if stats.cycles >= stats.slice_end:
+                    yield
                 if left:
                     return True
                 right = yield from right_code(frame, region, thread)
@@ -1960,7 +2074,9 @@ class Interpreter:
             def run(frame, region, thread):
                 yield from left_code(frame, region, thread)
                 yield from right_code(frame, region, thread)
-                yield op_basic
+                stats.cycles += op_basic
+                if stats.cycles >= stats.slice_end:
+                    yield
                 raise InterpreterError(f"unknown operator '{op}'")
             return run
 
@@ -1975,7 +2091,9 @@ class Interpreter:
             elif l_kind == 1:
                 left = frame.vars.get(l_val, _MISSING)
                 if left is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    if stats.cycles >= stats.slice_end:
+                        yield
                 else:
                     left = yield from field_read(frame.this, l_val,
                                                  thread, l_span)
@@ -1992,7 +2110,9 @@ class Interpreter:
             elif r_kind == 1:
                 right = frame.vars.get(r_val, _MISSING)
                 if right is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    if stats.cycles >= stats.slice_end:
+                        yield
                 else:
                     right = yield from field_read(frame.this, r_val,
                                                   thread, r_span)
@@ -2004,11 +2124,14 @@ class Interpreter:
                     frame.temps.append(right)
             else:
                 right = yield from r_code(frame, region, thread)
-            yield op_basic
+            stats.cycles += op_basic
+            if stats.cycles >= stats.slice_end:
+                yield
             return fn(left, right)
         return run
 
     def _build_unary(self, expr: ast.Unary):
+        stats = self.stats
         op_basic = self._c_basic
         op_local = self._c_local
         field_read = self._field_read
@@ -2021,7 +2144,9 @@ class Interpreter:
             elif v_kind == 1:
                 operand = frame.vars.get(v_val, _MISSING)
                 if operand is not _MISSING:
-                    yield op_local
+                    stats.cycles += op_local
+                    if stats.cycles >= stats.slice_end:
+                        yield
                 else:
                     operand = yield from field_read(frame.this, v_val,
                                                     thread, v_span)
@@ -2033,7 +2158,9 @@ class Interpreter:
                     frame.temps.append(operand)
             else:
                 operand = yield from v_code(frame, region, thread)
-            yield op_basic
+            stats.cycles += op_basic
+            if stats.cycles >= stats.slice_end:
+                yield
             return (not operand) if negate else -operand
         return run
 
@@ -2069,7 +2196,9 @@ class Interpreter:
                 elif v_kind == 1:
                     value = frame.vars.get(v_val, _MISSING)
                     if value is not _MISSING:
-                        yield op_local
+                        stats.cycles += op_local
+                        if stats.cycles >= stats.slice_end:
+                            yield
                     else:
                         value = yield from field_read(frame.this, v_val,
                                                       thread, v_span)
@@ -2082,7 +2211,9 @@ class Interpreter:
                 else:
                     value = yield from v_code(frame, region, thread)
                 if bi == 0:
-                    yield op_builtin
+                    stats.cycles += op_builtin
+                    if stats.cycles >= stats.slice_end:
+                        yield
                     machine.output.append(format_value(value))
                     return None
                 if bi == 1:
@@ -2090,20 +2221,30 @@ class Interpreter:
                     # server loops
                     cycles = op_builtin + max(int(value), 0)
                     stats.io_cycles += cycles
-                    yield cycles
+                    stats.cycles += cycles
+                    if stats.cycles >= stats.slice_end:
+                        yield
                     return int(value)
                 if bi == 2:
-                    yield op_builtin
+                    stats.cycles += op_builtin
+                    if stats.cycles >= stats.slice_end:
+                        yield
                     if value < 0:
                         raise InterpreterError(f"sqrt of negative {value}")
                     return math.sqrt(value)
                 if bi == 3:
-                    yield op_basic
+                    stats.cycles += op_basic
+                    if stats.cycles >= stats.slice_end:
+                        yield
                     return float(value)
                 if bi == 4:
-                    yield op_basic
+                    stats.cycles += op_basic
+                    if stats.cycles >= stats.slice_end:
+                        yield
                     return int(value)
-                yield op_basic
+                stats.cycles += op_basic
+                if stats.cycles >= stats.slice_end:
+                    yield
                 if not value:
                     raise InterpreterError(
                         f"program assertion failed at {span}")
@@ -2119,8 +2260,10 @@ class Interpreter:
                     stats.steps += 1
                     frame.temps.clear()
                 stats.thread_cycles += thread_yield
-                yield thread_yield
-                yield YIELD
+                stats.cycles += thread_yield
+                if stats.cycles >= stats.slice_end:
+                    yield
+                yield
                 return None
             return run
 
@@ -2136,32 +2279,46 @@ class Interpreter:
                 value = yield from code(frame, region, thread)
                 args.append(value)
             if name == "print":
-                yield op_builtin
+                stats.cycles += op_builtin
+                if stats.cycles >= stats.slice_end:
+                    yield
                 machine.output.append(format_value(args[0]))
                 return None
             if name == "io":
                 cycles = op_builtin + max(int(args[0]), 0)
                 stats.io_cycles += cycles
-                yield cycles
+                stats.cycles += cycles
+                if stats.cycles >= stats.slice_end:
+                    yield
                 return int(args[0])
             if name == "yieldnow":
                 stats.thread_cycles += cost.thread_yield
-                yield cost.thread_yield
-                yield YIELD
+                stats.cycles += cost.thread_yield
+                if stats.cycles >= stats.slice_end:
+                    yield
+                yield
                 return None
             if name == "sqrt":
-                yield op_builtin
+                stats.cycles += op_builtin
+                if stats.cycles >= stats.slice_end:
+                    yield
                 if args[0] < 0:
                     raise InterpreterError(f"sqrt of negative {args[0]}")
                 return math.sqrt(args[0])
             if name == "itof":
-                yield op_basic
+                stats.cycles += op_basic
+                if stats.cycles >= stats.slice_end:
+                    yield
                 return float(args[0])
             if name == "ftoi":
-                yield op_basic
+                stats.cycles += op_basic
+                if stats.cycles >= stats.slice_end:
+                    yield
                 return int(args[0])
             if name == "check":
-                yield op_basic
+                stats.cycles += op_basic
+                if stats.cycles >= stats.slice_end:
+                    yield
                 if not args[0]:
                     raise InterpreterError(
                         f"program assertion failed at {expr.span}")

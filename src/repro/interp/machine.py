@@ -255,8 +255,10 @@ class Machine:
                 self.statics[(cls.name, fld.name)] = value
 
     def charge_direct(self, thread: SimThread, cycles: int) -> None:
-        """Charge cycles outside the scheduler's quantum accounting (used
-        from ``finally`` blocks where yielding is unsafe)."""
+        """Charge cycles outside the scheduler's quantum (region exits in
+        ``finally`` blocks, which must not suspend).  ``Stats.charge``
+        moves the slice deadline forward with the clock, so the charge
+        neither ends nor shortens the running slice."""
         thread.cycles += cycles
         self.stats.charge(cycles, thread.name)
 

@@ -87,6 +87,9 @@ class Stats:
     """
 
     cycles: int = 0                       # global simulated clock
+    #: the running time slice ends once ``cycles`` reaches this value
+    #: (set by the scheduler; direct charges push it forward)
+    slice_end: int = 0
     cycles_by_thread: Dict[str, int] = field(default_factory=dict)
     steps: int = 0
 
@@ -134,7 +137,10 @@ class Stats:
     recorder: Optional[Any] = field(default=None, repr=False)
 
     def charge(self, cycles: int, thread_name: str = "main") -> None:
+        """Charge outside the quantum: the clock advances, and the
+        slice deadline with it, so the running slice is not shortened."""
         self.cycles += cycles
+        self.slice_end += cycles
         self.cycles_by_thread[thread_name] = (
             self.cycles_by_thread.get(thread_name, 0) + cycles)
 

@@ -1,12 +1,18 @@
 """Deterministic cooperative scheduler.
 
-Threads are generator coroutines produced by the interpreter; each yield
-is either an ``int`` (cycles to charge) or the :data:`YIELD` sentinel (end
-the time slice, e.g. ``yieldnow()``).  Scheduling is strict-priority
-round-robin: all runnable real-time threads run before any regular
-thread, matching the RTSJ model where real-time threads preempt regular
-ones.  A pending garbage collection runs between slices and pauses only
-the regular threads.
+Threads are generator coroutines produced by the interpreter (or a
+compiled backend).  A coroutine charges every simulated cost straight
+onto the clock, ``stats.cycles``, and yields only when its time slice is
+over: when the clock has reached ``stats.slice_end``, or when the
+program calls ``yieldnow()``.  Every yield therefore means "this slice
+is over", and the value yielded is ignored.  Direct charges
+(:meth:`Stats.charge`) move ``slice_end`` forward by what they charge,
+so they land on the clock without counting toward the quantum.
+
+Scheduling is strict-priority round-robin: all runnable real-time
+threads run before any regular thread, matching the RTSJ model where
+real-time threads preempt regular ones.  A pending garbage collection
+runs between slices and pauses only the regular threads.
 
 The whole machine is single-CPU: the global cycle clock advances by every
 charged cost, so "execution time" (Figure 12) is the final clock value.
@@ -21,9 +27,6 @@ from ..errors import (DeadlockError, ReproError, SanitizerViolation,
                       ThreadCrashError, ThreadSpawnError)
 from .regions import MemoryArea
 from .stats import Stats
-
-#: yielded by a coroutine to voluntarily end its time slice
-YIELD = object()
 
 Coroutine = Generator[Any, None, None]
 
@@ -156,73 +159,60 @@ class Scheduler:
             self.failure = err
 
     def _run_slice(self, thread: SimThread) -> None:
-        latency = self.stats.cycles - thread.last_scheduled
+        stats = self.stats
+        latency = stats.cycles - thread.last_scheduled
         if latency > thread.max_dispatch_latency:
             thread.max_dispatch_latency = latency
         if self._observe_latency:
             self._h_latency.labels(
                 realtime="true" if thread.realtime else "false"
             ).observe(latency)
-        # hot loop: every simulated cycle cost is one yielded int that
-        # passes through here.  ``stats.cycles`` must advance per yield
-        # (trace timestamps and watermarks read it mid-slice), but the
-        # per-thread attribution is batched to one update per slice —
-        # committed before _finish so the thread-finished event sees the
-        # thread's final cycle count.
-        budget = self.quantum
-        stats = self.stats
-        coro_next = thread.coroutine.__next__
-        spent = 0
+        # one resume runs the whole slice: the coroutine charges the
+        # clock in place and yields once the deadline is reached
+        stats.slice_end = stats.cycles + self.quantum
         try:
-            while budget > 0:
-                try:
-                    item = coro_next()
-                except StopIteration:
-                    spent = self._commit(thread, spent)
-                    self._finish(thread)
-                    return
-                except RecursionError:
-                    # the simulated program's call stack overflowed the
-                    # host interpreter's: surface it as the simulated
-                    # platform's StackOverflowError equivalent
-                    from ..errors import InterpreterError
-                    spent = self._commit(thread, spent)
-                    self._fail(thread, InterpreterError(
-                        f"simulated call stack overflow in thread "
-                        f"'{thread.name}' (deep recursion)"))
-                    return
-                except ReproError as err:
-                    spent = self._commit(thread, spent)
-                    self._fail(thread, err)
-                    return
-                except Exception as exc:
-                    # a host-level crash inside one simulated thread
-                    # must not abandon the whole run queue with a bare
-                    # traceback: finish the thread and surface a
-                    # structured diagnostic instead
-                    spent = self._commit(thread, spent)
-                    self._fail(thread, ThreadCrashError(
-                        f"thread '{thread.name}' crashed: "
-                        f"{type(exc).__name__}: {exc}", cause=exc))
-                    return
-                if item is YIELD:
-                    break
-                budget -= item
-                spent += item
-                stats.cycles += item
-        finally:
-            self._commit(thread, spent)
-        thread.last_scheduled = self.stats.cycles
+            try:
+                next(thread.coroutine)
+            finally:
+                # before _finish, so thread-finished sees the final count
+                self._commit(thread)
+        except StopIteration:
+            self._finish(thread)
+            return
+        except RecursionError:
+            # the simulated program's call stack overflowed the host
+            # interpreter's: surface it as the simulated platform's
+            # StackOverflowError equivalent
+            from ..errors import InterpreterError
+            self._fail(thread, InterpreterError(
+                f"simulated call stack overflow in thread "
+                f"'{thread.name}' (deep recursion)"))
+            return
+        except ReproError as err:
+            self._fail(thread, err)
+            return
+        except Exception as exc:
+            # a host-level crash inside one simulated thread must not
+            # abandon the whole run queue with a bare traceback: finish
+            # the thread and surface a structured diagnostic instead
+            self._fail(thread, ThreadCrashError(
+                f"thread '{thread.name}' crashed: "
+                f"{type(exc).__name__}: {exc}", cause=exc))
+            return
+        thread.last_scheduled = stats.cycles
 
-    def _commit(self, thread: SimThread, spent: int) -> int:
+    def _commit(self, thread: SimThread) -> None:
         """Fold one slice's cycles into the per-thread attribution.
-        Returns 0 so callers can reset their accumulator."""
+        Direct charges moved ``slice_end`` along with the clock (and
+        were attributed when they were made), so the cycles charged
+        inside the quantum are the clock's distance past the slice's
+        original deadline, plus the quantum."""
+        stats = self.stats
+        spent = stats.cycles - stats.slice_end + self.quantum
         if spent:
             thread.cycles += spent
-            by_thread = self.stats.cycles_by_thread
-            by_thread[thread.name] = \
-                by_thread.get(thread.name, 0) + spent
-        return 0
+            by_thread = stats.cycles_by_thread
+            by_thread[thread.name] = by_thread.get(thread.name, 0) + spent
 
     def _shutdown(self) -> None:
         """Abort path: close every unfinished coroutine so region

@@ -46,7 +46,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..faults import (FaultInjector, FaultPlan, FaultRecord,
                       ReplayInjector, fault_key, identity_mismatches,
-                      load_schedule, save_schedule)
+                      load_schedule, meta_count, meta_identity,
+                      save_schedule)
 from .client import ClientPolicy, ResilientClient
 from .server import ServeConfig, ServeService
 
@@ -401,15 +402,15 @@ def run_serve_chaos(seed: int = 0, requests: int = 32,
 def replay_schedule(path: str, requests: Optional[int] = None,
                     workers: Optional[int] = None) -> Dict[str, Any]:
     """Re-run a persisted serve schedule and diff against its recorded
-    identity.  A bad schedule file raises
+    identity.  A bad schedule file, including a malformed
+    ``requests``/``workers``/``identity`` in its meta, raises
     :class:`~repro.faults.FaultScheduleError`."""
     plan, records, meta = load_schedule(path, target="serve")
-    report = run_campaign(
-        plan,
-        requests=int(requests or meta.get("requests", 32)),
-        workers=int(workers or meta.get("workers", 2)),
-        injector=ReplayInjector(records, plan))
-    expected = meta.get("identity")
+    requests = requests or meta_count(meta, "requests", 32, path)
+    workers = workers or meta_count(meta, "workers", 2, path)
+    expected = meta_identity(meta, path)
+    report = run_campaign(plan, requests=requests, workers=workers,
+                          injector=ReplayInjector(records, plan))
     _judge_replay(report, [] if expected is None else identity_mismatches(
         expected, report["identity"]), report["ok"])
     return report

@@ -20,6 +20,10 @@ from conftest import (PRODUCER_CONSUMER_SOURCE, TSTACK_SOURCE,  # noqa: E402
                       assert_well_typed)
 
 
+GOLDEN = (Path(__file__).resolve().parent.parent / "data"
+          / "fault_schedules_golden")
+
+
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -176,6 +180,31 @@ class TestChaosCli:
         assert code == 1
         assert err.startswith("invalid fault schedule: ")
         assert out == ""
+
+    @pytest.mark.parametrize("golden,field", [
+        ("producer_consumer_py-seed0", "max_cycles"),
+        ("producer_consumer_py-seed0", "identity"),
+        ("serve-seed0", "requests"),
+        ("serve-seed0", "workers"),
+        ("serve-seed0", "identity"),
+    ])
+    def test_malformed_meta_replay_exits_1(self, tmp_path, golden,
+                                           field):
+        lines = (GOLDEN / f"{golden}.schedule.jsonl").read_text() \
+            .splitlines(keepends=True)
+        header = json.loads(lines[0])
+        assert field in header["meta"]
+        bad = (["lots", True, 0, -1, 2.0, None] if field != "identity"
+               else ["lots", [], 7, None])
+        for value in bad:
+            header["meta"][field] = value
+            path = tmp_path / f"{golden}.schedule.jsonl"
+            path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+            code, out, err = run_cli("chaos", "--replay", str(path))
+            assert code == 1, value
+            assert err.startswith("invalid fault schedule: "), err
+            assert f"meta.{field}" in err
+            assert out == ""
 
     def test_missing_schedule_replay_exits_1(self, tmp_path):
         code, _out, err = run_cli("chaos", "--replay",

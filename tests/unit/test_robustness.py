@@ -54,11 +54,13 @@ class TestAreaIdScoping:
         assert adhoc.area_id >= 1 << 20
 
 
-def _costs_then(effect, *costs):
+def _costs_then(stats, effect, *costs):
     """A coroutine that charges ``costs`` then runs ``effect``."""
     def gen():
         for cost in costs:
-            yield cost
+            stats.cycles += cost
+            if stats.cycles >= stats.slice_end:
+                yield
         effect()
     return gen()
 
@@ -77,8 +79,8 @@ class TestCrashingThreads:
 
     def test_fail_stop_wraps_crash_in_diagnostic(self):
         scheduler = Scheduler(Stats())
-        scheduler.spawn(SimThread("bad",
-                                  _costs_then(self._boom, 10)))
+        scheduler.spawn(SimThread(
+            "bad", _costs_then(scheduler.stats, self._boom, 10)))
         with pytest.raises(ThreadCrashError) as exc:
             scheduler.run()
         err = exc.value
@@ -89,10 +91,10 @@ class TestCrashingThreads:
 
     def test_fail_stop_still_finishes_every_thread(self):
         scheduler = Scheduler(Stats(), quantum=50)
-        scheduler.spawn(SimThread("bad",
-                                  _costs_then(self._boom, 10)))
-        scheduler.spawn(SimThread("slow",
-                                  _costs_then(_noop, *[40] * 20)))
+        scheduler.spawn(SimThread(
+            "bad", _costs_then(scheduler.stats, self._boom, 10)))
+        scheduler.spawn(SimThread(
+            "slow", _costs_then(scheduler.stats, _noop, *[40] * 20)))
         with pytest.raises(ThreadCrashError):
             scheduler.run()
         assert all(t.done for t in scheduler.threads)
@@ -101,7 +103,8 @@ class TestCrashingThreads:
         scheduler = Scheduler(Stats())
         shared = MemoryArea("shared", "K", LT, 1024)
         shared.thread_count = 1
-        thread = SimThread("bad", _costs_then(self._boom, 5))
+        thread = SimThread("bad",
+                           _costs_then(scheduler.stats, self._boom, 5))
         thread.shared_stack.append(shared)
         scheduler.spawn(thread)
         with pytest.raises(ThreadCrashError):
@@ -111,11 +114,11 @@ class TestCrashingThreads:
     def test_degrade_mode_keeps_draining_the_queue(self):
         done = []
         scheduler = Scheduler(Stats(), quantum=50, degrade=True)
-        scheduler.spawn(SimThread("bad",
-                                  _costs_then(self._boom, 10)))
-        scheduler.spawn(SimThread("worker",
-                                  _costs_then(lambda: done.append(1),
-                                              *[40] * 10)))
+        scheduler.spawn(SimThread(
+            "bad", _costs_then(scheduler.stats, self._boom, 10)))
+        scheduler.spawn(SimThread(
+            "worker", _costs_then(scheduler.stats, lambda: done.append(1),
+                                  *[40] * 10)))
         scheduler.run()  # must not raise
         assert done == [1]
         diags = scheduler.diagnostics
@@ -129,7 +132,8 @@ class TestCrashingThreads:
             raise OutOfRegionMemoryError("LT budget exhausted")
 
         scheduler = Scheduler(Stats(), degrade=True)
-        scheduler.spawn(SimThread("rt", _costs_then(overflow, 5)))
+        scheduler.spawn(SimThread(
+            "rt", _costs_then(scheduler.stats, overflow, 5)))
         scheduler.run()
         assert len(scheduler.diagnostics) == 1
         assert isinstance(scheduler.diagnostics[0],
@@ -140,7 +144,8 @@ class TestCrashingThreads:
             raise SanitizerViolation("O1-forest", "r", "cycle detected")
 
         scheduler = Scheduler(Stats(), degrade=True)
-        scheduler.spawn(SimThread("bad", _costs_then(corrupt, 5)))
+        scheduler.spawn(SimThread(
+            "bad", _costs_then(scheduler.stats, corrupt, 5)))
         with pytest.raises(SanitizerViolation):
             scheduler.run()
         assert scheduler.diagnostics == []

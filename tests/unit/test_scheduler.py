@@ -5,14 +5,22 @@ import pytest
 from repro.errors import DeadlockError, InterpreterError
 from repro.rtsj.regions import VT, RegionManager
 from repro.rtsj.stats import Stats
-from repro.rtsj.threads import Scheduler, SimThread, YIELD
+from repro.rtsj.threads import Scheduler, SimThread
 
 
-def costs(*values):
+def charge(stats, cycles):
+    """Charge ``cycles`` in place; True when the slice is over (the
+    caller then yields, as interpreter code does)."""
+    stats.cycles += cycles
+    return stats.cycles >= stats.slice_end
+
+
+def costs(stats, *values):
     """A coroutine charging the given costs."""
     def gen():
         for value in values:
-            yield value
+            if charge(stats, value):
+                yield
     return gen()
 
 
@@ -20,7 +28,7 @@ class TestBasicScheduling:
     def test_single_thread_runs_to_completion(self):
         stats = Stats()
         sched = Scheduler(stats, quantum=100)
-        sched.spawn(SimThread("t", costs(10, 20, 30)))
+        sched.spawn(SimThread("t", costs(stats, 10, 20, 30)))
         sched.run()
         assert stats.cycles == 60
         assert stats.cycles_by_thread["t"] == 60
@@ -33,8 +41,9 @@ class TestBasicScheduling:
         def tracked(name, slices):
             for _ in range(slices):
                 order.append(name)
-                yield 10
-                yield YIELD
+                if charge(stats, 10):
+                    yield
+                yield  # yieldnow()
 
         sched.spawn(SimThread("a", tracked("a", 3)))
         sched.spawn(SimThread("b", tracked("b", 3)))
@@ -49,7 +58,8 @@ class TestBasicScheduling:
         def greedy(name):
             for _ in range(4):
                 order.append(name)
-                yield 20
+                if charge(stats, 20):
+                    yield
 
         sched.spawn(SimThread("a", greedy("a")))
         sched.spawn(SimThread("b", greedy("b")))
@@ -64,7 +74,8 @@ class TestBasicScheduling:
 
         def tracked(name):
             order.append(name)
-            yield 5
+            if charge(stats, 5):
+                yield
 
         sched.spawn(SimThread("regular", tracked("regular")))
         sched.spawn(SimThread("rt", tracked("rt"), realtime=True))
@@ -77,7 +88,8 @@ class TestBasicScheduling:
 
         def forever():
             while True:
-                yield 10
+                if charge(stats, 10):
+                    yield
 
         sched.spawn(SimThread("loop", forever()))
         with pytest.raises(DeadlockError):
@@ -88,7 +100,8 @@ class TestBasicScheduling:
         sched = Scheduler(stats, quantum=100)
 
         def boom():
-            yield 5
+            if charge(stats, 5):
+                yield
             raise InterpreterError("bang")
 
         sched.spawn(SimThread("bad", boom()))
@@ -103,7 +116,7 @@ class TestThreadExitSemantics:
         shared.thread_count = 2
         stats = Stats()
         sched = Scheduler(stats, quantum=100)
-        t = SimThread("t", costs(1))
+        t = SimThread("t", costs(stats, 1))
         t.shared_stack.append(shared)
         sched.spawn(t)
         sched.run()
@@ -116,7 +129,7 @@ class TestThreadExitSemantics:
         shared.thread_count = 1
         stats = Stats()
         sched = Scheduler(stats, quantum=100)
-        t = SimThread("t", costs(1))
+        t = SimThread("t", costs(stats, 1))
         t.shared_stack.append(shared)
         sched.spawn(t)
         sched.run()
@@ -126,8 +139,8 @@ class TestThreadExitSemantics:
     def test_latency_metric_counts_from_spawn(self):
         stats = Stats()
         sched = Scheduler(stats, quantum=1000)
-        sched.spawn(SimThread("warmup", costs(500)))
-        late = SimThread("late", costs(1))
+        sched.spawn(SimThread("warmup", costs(stats, 500)))
+        late = SimThread("late", costs(stats, 1))
         sched.spawn(late)
         sched.run()
         # 'late' was spawned after warmup charged 0 cycles (spawn happens
@@ -148,8 +161,8 @@ class TestGCHook:
             return 0
 
         sched = Scheduler(stats, quantum=100, gc_hook=hook)
-        rt = SimThread("rt", costs(10, 10), realtime=True)
-        reg = SimThread("reg", costs(10, 10))
+        rt = SimThread("rt", costs(stats, 10, 10), realtime=True)
+        reg = SimThread("reg", costs(stats, 10, 10))
         sched.spawn(rt)
         sched.spawn(reg)
         sched.run()
