@@ -99,7 +99,7 @@ def main() -> None:
           "may allocate)")
 
     print("\n=== 3. execution timeline (repro.tools.timeline) ===")
-    machine = Machine(analyzed, RunOptions())
+    machine = Machine(analyzed, RunOptions(record=True))
     machine.run()
     print(render_timeline(machine.stats,
                           kinds=["region-created", "region-flushed",

@@ -59,6 +59,7 @@ from .interp.codegen_py import BACKEND_CHOICES
 from .interp.machine import Machine, RunOptions, execute
 from .interp.translate import translate as run_translate
 from .lang import pretty_program
+from .obs.flightrec import DEFAULT_CAPACITY
 
 _EMBEDDED_PROGRAM = re.compile(r'^PROGRAM\s*=\s*r?"""(.*?)"""',
                                re.S | re.M)
@@ -117,15 +118,9 @@ def _record_envelope(args, kind: str, **sections) -> None:
           f"in {store.root}", file=sys.stderr)
 
 
-def _observability_overhead(stats, recorder) -> dict:
+def _observability_overhead(recorder) -> dict:
     """The self-measured observability cost section of an envelope."""
     overhead = {}
-    tracer = stats.tracer
-    if not tracer.null:
-        overhead["tracer_s"] = round(tracer.overhead_s, 6)
-        if tracer.sampled_out:
-            overhead["trace_sampled_out"] = tracer.sampled_out
-            overhead["trace_sample"] = tracer.sample
     if recorder is not None:
         overhead["flightrec_s"] = round(recorder.overhead_s, 6)
         overhead["flight_events_seen"] = recorder.events_seen
@@ -135,10 +130,8 @@ def _observability_overhead(stats, recorder) -> dict:
     return overhead
 
 
-def _analyze_or_report(source: str, path: str, tracer=None, cache=None,
-                       metrics=None):
-    analyzed = analyze(source, filename=path, tracer=tracer, cache=cache,
-                       metrics=metrics)
+def _analyze_or_report(source: str, path: str, cache=None, metrics=None):
+    analyzed = analyze(source, filename=path, cache=cache, metrics=metrics)
     if cache is not None:
         cache.save()
     for err in analyzed.errors:
@@ -159,12 +152,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from .obs import MetricsRegistry, Tracer, write_metrics, write_trace
-    tracing = bool(args.trace_out)
-    tracer = Tracer(detailed=tracing)
+    from .obs import MetricsRegistry, write_metrics, write_trace
     metrics = MetricsRegistry()
     analyzed = _analyze_or_report(_read(args.file), args.file,
-                                  tracer=tracer if tracing else None,
                                   cache=_open_cache(args),
                                   metrics=metrics)
     if analyzed.errors:
@@ -180,11 +170,9 @@ def cmd_run(args) -> int:
                       and not wants_obs)
     options = RunOptions(checks_enabled=args.dynamic_checks,
                          validate=not args.no_validate,
-                         tracer=tracer if instrument else None,
                          metrics=metrics if instrument else None,
-                         record=bool(args.record_out),
+                         record=bool(args.record_out or args.trace_out),
                          record_capacity=args.record_capacity,
-                         trace_sample=args.trace_sample,
                          record_sample=args.record_sample,
                          instrument=instrument,
                          backend=args.backend or "interp")
@@ -224,10 +212,11 @@ def cmd_run(args) -> int:
         # a crashed run is when the trace is most valuable: export
         # whatever was recorded up to the failure
         if args.trace_out:
-            write_trace(machine.stats.tracer, args.trace_out)
+            write_trace(machine.recorder, args.trace_out,
+                        analyzed.phase_seconds)
         if args.metrics_out:
             write_metrics(machine.stats.metrics, args.metrics_out)
-        if args.record_out and machine.recorder is not None:
+        if args.record_out:
             from .obs import dump_flight
             dump_flight(machine.recorder, args.record_out, meta={
                 "mode": mode,
@@ -240,8 +229,7 @@ def cmd_run(args) -> int:
             metrics=metrics.to_dict(),
             flight=(machine.recorder.header()
                     if machine.recorder is not None else None),
-            overhead=_observability_overhead(machine.stats,
-                                             machine.recorder),
+            overhead=_observability_overhead(machine.recorder),
             meta={"mode": mode,
                   "crashed": failure is not None})
         if server is not None:
@@ -626,36 +614,34 @@ def cmd_chaos(args) -> int:
     return 0 if report["ok"] else 4
 
 
+def _load_valid_flight(path: str, label: str):
+    """``(header, records)`` of a well-formed flight dump, or None after
+    printing why it is not one."""
+    from .obs.flightrec import load_flight, validate_flight
+    try:
+        header, records = load_flight(path)
+    except (OSError, ValueError, KeyError) as err:
+        problems = [str(err)]
+    else:
+        problems = validate_flight(header, records)
+    for problem in problems:
+        print(f"invalid flight record{label}: {problem}", file=sys.stderr)
+    return None if problems else (header, records)
+
+
 def cmd_inspect(args) -> int:
     from .obs.analyze import build_report, report_json
-    from .obs.flightrec import load_flight, validate_flight
 
-    try:
-        header, records = load_flight(args.dump)
-    except (OSError, ValueError, KeyError) as err:
-        print(f"invalid flight record: {err}", file=sys.stderr)
+    loaded = _load_valid_flight(args.dump, "")
+    if loaded is None:
         return 1
-    problems = validate_flight(header, records)
-    if problems:
-        for problem in problems:
-            print(f"invalid flight record: {problem}", file=sys.stderr)
-        return 1
+    header, records = loaded
     compare = None
     if args.compare:
-        try:
-            compare_header, compare_records = load_flight(args.compare)
-        except (OSError, ValueError, KeyError) as err:
-            print(f"invalid flight record (--compare): {err}",
-                  file=sys.stderr)
+        loaded = _load_valid_flight(args.compare, " (--compare)")
+        if loaded is None:
             return 1
-        compare_problems = validate_flight(compare_header,
-                                           compare_records)
-        if compare_problems:
-            for problem in compare_problems:
-                print(f"invalid flight record (--compare): {problem}",
-                      file=sys.stderr)
-            return 1
-        compare = compare_header
+        compare = loaded[0]
     schedule = None
     if args.schedule:
         from .faults import FaultScheduleError, load_schedule
@@ -954,6 +940,18 @@ def _deadline_ms(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """An integer of at least 1 (ring sizes, sampling strides)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _plan_arg(name: str, convert: Callable[[str], Any]):
     """An argparse type for one :class:`~repro.faults.FaultPlan`
     field, checked by the plan's own validation."""
@@ -1027,9 +1025,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the machine-readable run summary as "
                             "one JSON object on stdout")
     p_run.add_argument("--trace-out", metavar="FILE",
-                       help="write a JSON Lines trace of all events "
-                            "(enables detailed tracing: region "
-                            "enter/exit spans, allocations, checks)")
+                       help="arm the flight recorder and write its "
+                            "records as a JSON Lines trace (region "
+                            "enter/exit spans, allocations, checks, "
+                            "lifecycle events)")
     p_run.add_argument("--metrics-out", metavar="FILE",
                        help="write end-of-run metrics in Prometheus "
                             "text format")
@@ -1037,15 +1036,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="arm the flight recorder and dump the "
                             "post-mortem event ring as JSONL (cycle-"
                             "neutral; feed the file to `repro inspect`)")
-    p_run.add_argument("--record-capacity", type=int, default=1 << 16,
+    p_run.add_argument("--record-capacity", type=_positive_int,
+                       default=DEFAULT_CAPACITY, metavar="N",
                        help="flight-recorder ring size in records "
-                            "(default 65536)")
-    p_run.add_argument("--trace-sample", type=int, default=1,
-                       metavar="N",
-                       help="store only every N-th instant detail "
-                            "trace event per kind (always-on tier; "
-                            "default 1 = everything)")
-    p_run.add_argument("--record-sample", type=int, default=1,
+                            f"(default {DEFAULT_CAPACITY})")
+    p_run.add_argument("--record-sample", type=_positive_int, default=1,
                        metavar="N",
                        help="store only every N-th high-volume flight "
                             "record per kind; exact aggregates are "

@@ -64,11 +64,8 @@ class Checker:
         #: successful [EXPR NEW]; the Section 2.6 translator uses it to
         #: derive allocation strategies from the av-RH derivation
         self.new_site_hook = None
-        #: wall-clock seconds per checking phase, filled by check();
-        #: emitted as ``checker-phase`` trace events when a tracer is
-        #: attached (the ``repro run --trace-out`` path)
+        #: wall-clock seconds per checking phase, filled by check()
         self.phase_seconds: Dict[str, float] = {}
-        self.tracer = None
 
     # ------------------------------------------------------------------
     # entry point — [PROG]
@@ -82,33 +79,32 @@ class Checker:
 
         ``clock`` is an optional shared :class:`~repro.core.phases.
         PhaseClock` (``analyze`` passes its own so frontend and checker
-        phases land in one dict); without one a private clock is built
-        from ``self.tracer``.  ``replay_errors`` maps class names to
-        recorded diagnostics from a prior run: those classes are not
-        re-checked, their errors are spliced in at the position live
-        checking would have produced them.  ``per_class_errors`` (an
-        out-dict) receives each class's error slice, which the analysis
-        cache records.  The wellformed, region-kind, and main-block
+        phases land in one dict); without one a private clock is built.
+        ``replay_errors`` maps class names to recorded diagnostics from
+        a prior run: those classes are not re-checked, their errors are
+        spliced in at the position live checking would have produced
+        them.  ``per_class_errors`` (an out-dict) receives each class's
+        error slice, which the analysis cache records.  The wellformed, region-kind, and main-block
         phases always run live — they are whole-program judgments."""
         from .phases import PhaseClock
         from .wellformed import check_wellformed
         if clock is None:
-            clock = PhaseClock(self.tracer)
+            clock = PhaseClock()
         self.phase_seconds = clock.seconds
         try:
             check_wellformed(self.program)
         except OwnershipTypeError as err:
             self.errors.append(err)
-            clock.lap("wellformed", errors=len(self.errors))
+            clock.lap("wellformed")
             return self.errors
-        clock.lap("wellformed", errors=len(self.errors))
+        clock.lap("wellformed")
 
         for info in self.program.region_kinds.values():
             try:
                 self._check_region_kind(info)
             except OwnershipTypeError as err:
                 self.errors.append(err)
-        clock.lap("region-kinds", errors=len(self.errors))
+        clock.lap("region-kinds")
         for info in self.program.classes.values():
             if info.builtin:
                 continue
@@ -122,7 +118,7 @@ class Checker:
             self._check_class(info)
             if per_class_errors is not None:
                 per_class_errors[info.name] = self.errors[before:]
-        clock.lap("classes", errors=len(self.errors))
+        clock.lap("classes")
         main = self.program.ast_program.main
         if main is not None:
             env = Env.initial(self.program)
@@ -135,7 +131,7 @@ class Checker:
                 self.check_block(env, main, None, HEAP)
             except OwnershipTypeError as err:
                 self.errors.append(err)
-            clock.lap("main-block", errors=len(self.errors))
+            clock.lap("main-block")
         return self.errors
 
     # ------------------------------------------------------------------

@@ -3,15 +3,15 @@
 
 Both halves of the frontend (parse/infer/tables in ``analyze``,
 wellformed/region-kinds/classes/main-block inside the checker) record
-their phases through one :class:`PhaseClock`, so every ``checker-phase``
-trace event is emitted from a single code path and ``analyze`` can hand
-callers one merged ``phase_seconds`` dict.
+their phases through one :class:`PhaseClock`, so ``analyze`` can hand
+callers one merged ``phase_seconds`` dict (the ``checker-phase`` lines
+of a ``repro run --trace-out`` trace are read from it).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 
 class PhaseClock:
@@ -19,12 +19,10 @@ class PhaseClock:
 
     ``lap(name)`` charges the time since the previous lap (or
     construction/``restart``) to ``name``; repeated laps with the same
-    name accumulate.  When a tracer is attached, each lap also emits a
-    ``checker-phase`` trace event (the ``repro run --trace-out`` path).
+    name accumulate.
     """
 
-    def __init__(self, tracer=None) -> None:
-        self.tracer = tracer
+    def __init__(self) -> None:
         self.seconds: Dict[str, float] = {}
         self._mark = time.perf_counter()
 
@@ -32,15 +30,8 @@ class PhaseClock:
         """Reset the lap start without charging anybody."""
         self._mark = time.perf_counter()
 
-    def lap(self, name: str, errors: Optional[int] = None) -> float:
+    def lap(self, name: str) -> float:
         now = time.perf_counter()
-        delta = now - self._mark
-        self.seconds[name] = self.seconds.get(name, 0.0) + delta
-        if self.tracer is not None:
-            attrs = {"seconds": delta}
-            if errors is not None:
-                attrs["errors"] = errors
-            self.tracer.emit("checker-phase", name, cycle=0,
-                             thread="<checker>", attrs=attrs)
+        self.seconds[name] = self.seconds.get(name, 0.0) + now - self._mark
         self._mark = now
         return now

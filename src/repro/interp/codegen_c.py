@@ -1296,8 +1296,7 @@ def compile_c(machine: Any) -> Any:
     if _MAIN_KEY not in lowered.units:
         raise CodegenUnsupported("no main block")
     stats = machine.stats
-    if not (stats.tracer.null and stats.metrics.null
-            and stats.profile.null):
+    if not (stats.metrics.null and stats.profile.null):
         raise CodegenUnsupported("instrumented run")
     if stats.recorder is not None:
         raise CodegenUnsupported("flight recorder attached")

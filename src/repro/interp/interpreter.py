@@ -1066,7 +1066,6 @@ class Interpreter:
         create_area = self._create_area
         region_exit = self.cost.region_exit
         charge_direct = self.machine.charge_direct
-        tracer = stats.tracer
         rec = self._recorder
         injector = self._injector
         enter_guard = self._region_enter_guard
@@ -1100,8 +1099,6 @@ class Interpreter:
             if shared:
                 area.thread_count = 1
                 thread.shared_stack.append(area)
-            tracer.begin("region-enter", area.name, cycle=stats.cycles,
-                         thread=thread.name, attrs={"scoped": True})
             if rec is not None:
                 rec.push("region-enter", area.name, cycle=stats.cycles,
                          thread=thread.name, attrs={"scoped": True})
@@ -1112,8 +1109,6 @@ class Interpreter:
                 # would break generator close semantics)
                 charge_direct(thread, region_exit)
                 stats.region_cycles += region_exit
-                tracer.end("region-exit", area.name, cycle=stats.cycles,
-                           thread=thread.name)
                 if rec is not None:
                     rec.pop("region-exit", area.name, cycle=stats.cycles,
                             thread=thread.name)
@@ -1123,9 +1118,6 @@ class Interpreter:
                         area, thread.name)
                 else:
                     stats.objects_freed += area.destroy(thread.name)
-                if not area.live:
-                    tracer.emit("region-destroyed", area.name,
-                                cycle=stats.cycles, thread=thread.name)
                 _restore(frame.owners, region_name, saved_owner)
                 _restore(frame.vars, handle_name, saved_var)
                 if sanitizer is not None:
@@ -1141,7 +1133,6 @@ class Interpreter:
         region_exit = self.cost.region_exit
         create_area = self._create_area
         charge_direct = self.machine.charge_direct
-        tracer = stats.tracer
         rec = self._recorder
         injector = self._injector
         enter_guard = self._region_enter_guard
@@ -1223,8 +1214,6 @@ class Interpreter:
             stats.region_enters += 1
             slot.thread_count += 1
             thread.shared_stack.append(slot)
-            tracer.begin("region-enter", slot.name, cycle=stats.cycles,
-                         thread=thread.name, attrs={"scoped": False})
             if rec is not None:
                 rec.push("region-enter", slot.name, cycle=stats.cycles,
                          thread=thread.name, attrs={"scoped": False})
@@ -1237,8 +1226,6 @@ class Interpreter:
             finally:
                 charge_direct(thread, region_exit)
                 stats.region_cycles += region_exit
-                tracer.end("region-exit", slot.name, cycle=stats.cycles,
-                           thread=thread.name)
                 if rec is not None:
                     rec.pop("region-exit", slot.name, cycle=stats.cycles,
                             thread=thread.name)
@@ -1248,8 +1235,6 @@ class Interpreter:
                 flushed = slot.generation != before
                 if flushed:
                     stats.region_flushes += 1
-                    tracer.emit("region-flushed", slot.name,
-                                cycle=stats.cycles, thread=thread.name)
                 _restore(frame.owners, region_name, saved_owner)
                 _restore(frame.vars, handle_name, saved_var)
                 if sanitizer is not None:
@@ -1500,11 +1485,6 @@ class Interpreter:
                                            realtime_only)
         stats = self.stats
         stats.regions_created += 1
-        stats.tracer.emit(
-            "region-created", f"{name} ({policy})",
-            cycle=stats.cycles, thread=thread.name,
-            attrs={"region": name, "policy": policy, "kind": kind_name,
-                   "lt_budget": budget})
         rec = self._recorder
         if rec is not None:
             rec.record("region-created", name, cycle=stats.cycles,
@@ -1595,11 +1575,6 @@ class Interpreter:
                 fresh = spill.allocate(obj)
                 stats.vt_spills += 1
                 stats.faults_recovered += 1
-                stats.tracer.emit(
-                    "vt-spill", f"{obj.class_name} -> {spill.name}",
-                    cycle=stats.cycles, thread=thread.name,
-                    attrs={"denied": target.name, "spill": spill.name,
-                           "bytes": obj.size_bytes})
                 rec = self._recorder
                 if rec is not None:
                     rec.record(
@@ -1732,12 +1707,6 @@ class Interpreter:
         for area in thread.shared_stack:
             area.thread_count += 1
             child.shared_stack.append(area)
-        stats.tracer.emit(
-            "thread-spawned",
-            f"{name}{' (realtime)' if stmt.realtime else ''}",
-            cycle=stats.cycles, thread=thread.name,
-            attrs={"child": name, "realtime": stmt.realtime,
-                   "method": call.method_name})
         rec = self._recorder
         if rec is not None:
             # the spawn event becomes the child's causal root
@@ -1802,7 +1771,6 @@ class Interpreter:
         heap_alloc_extra = cost.heap_alloc_extra
         profile = stats.profile
         do_profile = not profile.null
-        tracer = stats.tracer
         rec = self._recorder
         class_name = expr.class_name
         line = expr.span.start.line
@@ -1863,13 +1831,6 @@ class Interpreter:
             stats.alloc_cycles += cycles
             if do_profile:
                 profile.record_alloc(line, target.name, size)
-            if tracer.detailed:
-                tracer.emit_detail(
-                    "alloc", f"{class_name} -> {target.name}",
-                    cycle=stats.cycles, thread=thread.name,
-                    attrs={"bytes": size, "policy": target.policy,
-                           "region": target.name, "line": line,
-                           "fresh_chunks": fresh_chunks})
             if rec is not None:
                 owner0 = owner_values[0]
                 owner_label = owner0.name if isinstance(

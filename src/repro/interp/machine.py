@@ -23,7 +23,8 @@ from ..core.api import AnalyzedProgram, analyze
 from ..core.relations import RelationGraph
 from ..errors import OwnershipTypeError, ReproError
 from ..faults import FaultInjector, FaultPlan, FaultRecord
-from ..obs import MetricsRegistry, ProfileCollector, Tracer
+from ..obs import MetricsRegistry, ProfileCollector
+from ..obs.flightrec import DEFAULT_CAPACITY
 from ..rtsj.checks import CheckEngine
 from ..rtsj.gc import GarbageCollector
 from ..rtsj.objects import ArrayStorage, ObjRef
@@ -74,20 +75,16 @@ class RunOptions:
     quantum: int = 2000
     #: runaway-guard on the global clock
     max_cycles: int = 2_000_000_000
-    #: observability: pass a pre-built tracer/registry to share them
-    #: with the caller (the CLI does, to export after the run); None
-    #: means the machine builds its own
-    tracer: Optional[Tracer] = None
+    #: observability: pass a pre-built registry to share it with the
+    #: caller (the CLI does, to export after the run); None means the
+    #: machine builds its own
     metrics: Optional[MetricsRegistry] = None
-    #: record high-volume trace events (region enter/exit spans,
-    #: allocations, individual checks); implied by ``--trace-out``
-    trace_detail: bool = False
-    #: False wires *null* observability sinks (tracer, metrics, profile)
-    #: into the run: no events recorded, no histogram samples, no
-    #: per-site attribution — the interpreter's instrumentation code
-    #: paths are compiled out.  Used by ``repro bench`` so wall-clock
-    #: measurements exclude observability overhead.  Explicitly passed
-    #: ``tracer``/``metrics`` objects take precedence.
+    #: False wires *null* observability sinks (metrics, profile) into
+    #: the run: no histogram samples, no per-site attribution — the
+    #: interpreter's instrumentation code paths are compiled out.  Used
+    #: by ``repro bench`` so wall-clock measurements exclude
+    #: observability overhead.  An explicitly passed ``metrics`` object
+    #: takes precedence.
     instrument: bool = True
     # -- robustness plane (all off by default: a plain run compiles in
     #    none of the fault/sanitizer code paths) --
@@ -103,22 +100,19 @@ class RunOptions:
     #: graceful degradation: a failing thread is finished with a
     #: structured diagnostic instead of aborting the whole run
     degrade: bool = False
-    # -- flight recorder (post-mortem ring buffer, off by default: a
-    #    plain run carries ``recorder is None`` through every compiled
-    #    closure and cycle counts stay byte-identical) --
+    # -- flight recorder (the one runtime event store, off by default:
+    #    a plain run carries ``recorder is None`` through every
+    #    compiled closure and cycle counts stay byte-identical) --
     #: record causally-linked events into a bounded ring buffer
     record: bool = False
     #: ring capacity when ``record`` builds the recorder
-    record_capacity: int = 1 << 16
+    record_capacity: int = DEFAULT_CAPACITY
     #: pre-built recorder (wins over ``record``); a
     #: ``NullFlightRecorder`` counts as recording-off
     recorder: Optional[Any] = None
-    # -- sampling tier (always-on observability at bounded cost) --
-    #: store only every N-th instant detail trace event per kind
-    #: (checks, allocs); 1 = store everything
-    trace_sample: int = 1
-    #: store only every N-th high-volume flight record per kind; exact
-    #: aggregates (kind_counts, check_totals) are kept regardless
+    #: store only every N-th high-volume flight record per kind (checks,
+    #: allocs); exact aggregates (kind_counts, check_totals) are kept
+    #: regardless
     record_sample: int = 1
     # -- execution backend --
     #: one of ``codegen_py.BACKEND_CHOICES``: "interp" = the coroutine
@@ -153,19 +147,12 @@ class Machine:
         self.options = options or RunOptions()
         self.cost_model = self.options.cost_model
         if self.options.instrument:
-            tracer = self.options.tracer or Tracer()
             metrics = self.options.metrics or MetricsRegistry()
             profile = ProfileCollector()
         else:
-            from ..obs import (NullMetricsRegistry, NullProfile,
-                               NullTracer)
-            tracer = self.options.tracer or NullTracer()
+            from ..obs import NullMetricsRegistry, NullProfile
             metrics = self.options.metrics or NullMetricsRegistry()
             profile = NullProfile()
-        if self.options.trace_detail:
-            tracer.detailed = True
-        if self.options.trace_sample > 1:
-            tracer.sample = self.options.trace_sample
         # flight recorder: None unless asked for, so every subsystem's
         # ``recorder is not None`` test compiles the hooks out
         recorder = self.options.recorder
@@ -176,8 +163,8 @@ class Machine:
         if recorder is not None and not recorder.enabled:
             recorder = None
         self.recorder = recorder
-        self.stats = Stats(tracer=tracer, metrics=metrics,
-                           profile=profile, recorder=recorder)
+        self.stats = Stats(metrics=metrics, profile=profile,
+                           recorder=recorder)
         self.regions = RegionManager()
         if recorder is not None:
             recorder.bind_clock(self.stats)
@@ -392,15 +379,6 @@ class Machine:
         overhead = registry.gauge(
             "repro_observability_overhead_seconds",
             "host seconds spent inside observability recording paths")
-        tracer = stats.tracer
-        if not tracer.null:
-            overhead.labels(component="tracer").set(
-                round(tracer.overhead_s, 6))
-            if tracer.sampled_out:
-                registry.gauge(
-                    "repro_trace_events_sampled_out",
-                    "detail trace events skipped by the sampling "
-                    "stride").set(tracer.sampled_out)
         recorder = self.recorder
         if recorder is not None:
             overhead.labels(component="flightrec").set(

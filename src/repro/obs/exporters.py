@@ -2,10 +2,12 @@
 
 Two on-disk formats, both line-oriented and tool-friendly:
 
-* **JSON Lines trace** — one JSON object per :class:`TraceEvent`, in
-  emission order (which is simulated-time order).  Consumers rebuild
-  span nesting with a per-thread stack over the ``ph`` field
-  (``"B"``/``"E"``; ``"i"`` is an instant).  See
+* **JSON Lines trace** — the ``repro run --trace-out`` view of the
+  flight record (:mod:`repro.obs.flightrec`): one JSON object per
+  surviving record, in recording order (which is simulated-time
+  order), after one ``checker-phase`` line per frontend phase.
+  Consumers rebuild span nesting with a per-thread stack over the
+  ``ph`` field (``"B"``/``"E"``; ``"i"`` is an instant).  See
   ``docs/OBSERVABILITY.md`` for the schema.
 * **Prometheus text exposition** — the ``# HELP`` / ``# TYPE`` /
   sample-line format, suitable for ``promtool check metrics`` or a
@@ -17,9 +19,10 @@ from __future__ import annotations
 
 import json
 import re
-from typing import IO, Any, Dict, Iterator, Tuple, Union
+from typing import (IO, Any, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple, Union)
 
-from .events import Tracer
+from .flightrec import FlightRecorder
 from .metrics import (MetricsRegistry, QUANTILES, _HistogramChild,
                       quantile_from_counts)
 
@@ -28,35 +31,96 @@ from .metrics import (MetricsRegistry, QUANTILES, _HistogramChild,
 # JSON Lines traces
 # ---------------------------------------------------------------------------
 
-def trace_lines(tracer: Tracer) -> Iterator[str]:
-    """The trace as JSON Lines (no trailing newlines)."""
-    for event in tracer.records:
-        yield json.dumps(event.to_dict(), sort_keys=True)
-    if getattr(tracer, "sampled_out", 0):
-        yield json.dumps({"kind": "trace-sampled", "ph": "i",
-                          "cycle": -1, "thread": "<tracer>",
-                          "subject": f"{tracer.sampled_out} detail "
-                                     f"events sampled out (1-in-"
-                                     f"{tracer.sample})",
-                          "attrs": {"sampled_out": tracer.sampled_out,
-                                    "sample": tracer.sample}},
-                         sort_keys=True)
-    if tracer.dropped:
-        yield json.dumps({"kind": "trace-truncated", "ph": "i",
-                          "cycle": -1, "thread": "<tracer>",
-                          "subject": f"{tracer.dropped} events dropped",
-                          "attrs": {"dropped": tracer.dropped}},
-                         sort_keys=True)
+#: span phase per record kind; every other kind is an instant (``"i"``)
+SPAN_PHASES = {"region-enter": "B", "region-exit": "E"}
 
 
-def write_trace(tracer: Tracer, dest: Union[str, IO[str]]) -> int:
+def _line(cycle: int, kind: str, subject: str, thread: str, phase: str,
+          attrs: Optional[Dict[str, Any]] = None) -> str:
+    out: Dict[str, Any] = {"cycle": cycle, "kind": kind, "ph": phase,
+                           "subject": subject, "thread": thread}
+    if attrs:
+        out["attrs"] = attrs
+    return json.dumps(out, sort_keys=True)
+
+
+def trace_lines(recorder: FlightRecorder,
+                phase_seconds: Optional[Mapping[str, float]] = None
+                ) -> Iterator[str]:
+    """The trace as JSON Lines (no trailing newlines).
+
+    ``phase_seconds`` (an analysis's ``phase_seconds``) leads with one
+    ``checker-phase`` line per frontend phase.  Spans stay balanced per
+    thread whatever the ring kept: an ``E`` whose ``B`` was evicted is
+    dropped, and a span its thread left open is closed with
+    ``{"aborted": true}`` when the thread ends (or at the end of the
+    trace).  Markers for sampled-out and evicted records close it."""
+    for name, seconds in (phase_seconds or {}).items():
+        yield _line(0, "checker-phase", name, "<checker>", "i",
+                    {"seconds": seconds})
+    open_spans: Dict[str, List[str]] = {}
+
+    def close(thread: str, cycle: int) -> Iterator[str]:
+        stack = open_spans.pop(thread, [])
+        while stack:
+            yield _line(cycle, "region-exit", stack.pop(), thread, "E",
+                        {"aborted": True})
+
+    cycle = 0
+    for rec in recorder.records():
+        cycle, thread = rec.cycle, rec.thread
+        phase = SPAN_PHASES.get(rec.kind, "i")
+        if phase == "B":
+            open_spans.setdefault(thread, []).append(rec.subject)
+        elif phase == "E":
+            stack = open_spans.get(thread)
+            if not stack:
+                continue  # its region-enter was evicted by the ring
+            stack.pop()
+        elif rec.kind in ("thread-aborted", "thread-finished"):
+            yield from close(thread, cycle)
+        yield _line(cycle, rec.kind, rec.subject, thread, phase,
+                    rec.attrs)
+    for thread in list(open_spans):
+        yield from close(thread, cycle)
+    if recorder.sampled_out:
+        yield _line(-1, "trace-sampled",
+                    f"{recorder.sampled_out} high-volume events sampled "
+                    f"out (1-in-{recorder.sample})", "<recorder>", "i",
+                    {"sampled_out": recorder.sampled_out,
+                     "sample": recorder.sample})
+    if recorder.dropped:
+        yield _line(-1, "trace-truncated",
+                    f"{recorder.dropped} oldest events evicted (ring of "
+                    f"{recorder.capacity})", "<recorder>", "i",
+                    {"dropped": recorder.dropped,
+                     "capacity": recorder.capacity})
+
+
+def spans_balanced(events: Iterable[Mapping[str, Any]]) -> bool:
+    """True when every thread's ``B``/``E`` lines of a parsed trace
+    nest like a stack with matching subjects."""
+    stacks: Dict[str, List[str]] = {}
+    for event in events:
+        stack = stacks.setdefault(event["thread"], [])
+        if event["ph"] == "B":
+            stack.append(event["subject"])
+        elif event["ph"] == "E":
+            if not stack or stack.pop() != event["subject"]:
+                return False
+    return not any(stacks.values())
+
+
+def write_trace(recorder: FlightRecorder, dest: Union[str, IO[str]],
+                phase_seconds: Optional[Mapping[str, float]] = None
+                ) -> int:
     """Write the JSONL trace to a path or open file; returns the number
     of lines written."""
     if isinstance(dest, str):
         with open(dest, "w", encoding="utf-8") as handle:
-            return write_trace(tracer, handle)
+            return write_trace(recorder, handle, phase_seconds)
     n = 0
-    for line in trace_lines(tracer):
+    for line in trace_lines(recorder, phase_seconds):
         dest.write(line + "\n")
         n += 1
     return n

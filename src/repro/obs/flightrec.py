@@ -1,15 +1,18 @@
 """The flight recorder: a bounded ring buffer of causally-linked events.
 
-Tracing (:mod:`repro.obs.events`) answers "what happened, in order" for
-runs where someone asked for a trace up front.  The flight recorder
-answers the production question: *when a run crashes, what were the last
-N things the machine did, and why?*  It keeps a fixed-capacity ring of
-:class:`FlightRecord` entries — region lifecycle, allocations with
-owner and site, LT/VT policy decisions, portal traffic, thread
-spawn/abort, GC pauses, every dynamic check performed and every check
-elided by the static path — each stamped with the simulated cycle, the
-emitting thread, and a *parent-event id* so the analysis engine
-(:mod:`repro.obs.analyze`, ``repro inspect``) can walk cause chains.
+The recorder is the simulator's one runtime event store.  It answers
+the production question — *when a run crashes, what were the last N
+things the machine did, and why?* — and every other event view is a
+projection of it: the ``repro run --trace-out`` JSON Lines trace
+(:func:`repro.obs.exporters.trace_lines`), the text timeline
+(:mod:`repro.tools.timeline`) and the ``repro inspect`` report.  It
+keeps a fixed-capacity ring of :class:`FlightRecord` entries — region
+lifecycle, allocations with owner and site, LT/VT policy decisions,
+portal traffic, thread spawn/abort, GC pauses, sanitizer violations,
+every dynamic check performed and every check elided by the static
+path — each stamped with the simulated cycle, the emitting thread, and
+a *parent-event id* so the analysis engine (:mod:`repro.obs.analyze`,
+``repro inspect``) can walk cause chains.
 
 Design rules, matching the rest of the observability layer:
 
@@ -68,7 +71,7 @@ KNOWN_KINDS = (
     "alloc", "policy", "vt-spill",
     "portal-read", "portal-write",
     "thread-spawned", "thread-finished", "thread-aborted",
-    "gc", "fault-injected", "recovery",
+    "gc", "fault-injected", "recovery", "sanitizer-violation",
 ) + CHECK_KINDS
 
 
@@ -96,11 +99,29 @@ class FlightRecord:
         return out
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FlightRecord":
-        return cls(id=int(data["id"]), parent=int(data.get("parent", 0)),
-                   cycle=int(data["cycle"]), thread=str(data["thread"]),
-                   kind=str(data["kind"]), subject=str(data["subject"]),
-                   attrs=data.get("attrs"))
+    def from_dict(cls, data: Any) -> "FlightRecord":
+        """Parse one dump line; a wrong shape raises ``ValueError``."""
+        if not isinstance(data, dict):
+            raise ValueError(f"record is a JSON {type(data).__name__}, "
+                             f"not an object")
+        attrs = data.get("attrs")
+        if attrs is not None and not isinstance(attrs, dict):
+            raise ValueError(f"record {data.get('id')!r} attrs is a JSON "
+                             f"{type(attrs).__name__}, not an object")
+        return cls(id=_int_field(data, "id"),
+                   parent=_int_field(data, "parent", 0),
+                   cycle=_int_field(data, "cycle"),
+                   thread=str(data["thread"]), kind=str(data["kind"]),
+                   subject=str(data["subject"]), attrs=attrs)
+
+
+def _int_field(data: Dict[str, Any], key: str,
+               default: Optional[int] = None) -> int:
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"record field {key!r} must be an integer, "
+                         f"got {value!r}")
+    return value
 
 
 class FlightRecorder:
@@ -337,6 +358,9 @@ def load_flight(path: Union[str, IO[str]]
     if not lines:
         raise ValueError("empty flight record")
     header = json.loads(lines[0])
+    if not isinstance(header, dict):
+        raise ValueError(f"header is a JSON {type(header).__name__}, "
+                         f"not an object")
     schema = header.get("schema")
     if schema != FLIGHT_SCHEMA:
         raise ValueError(f"unsupported flight-record schema {schema!r} "
@@ -354,6 +378,20 @@ def validate_flight(header: Dict[str, Any],
     if header.get("schema") != FLIGHT_SCHEMA:
         problems.append(
             f"schema {header.get('schema')!r} != {FLIGHT_SCHEMA!r}")
+    for key in ("kind_counts", "check_totals", "meta"):
+        if not isinstance(header.get(key) or {}, dict):
+            problems.append(f"header {key!r} is not an object")
+    meta = header.get("meta")
+    if isinstance(meta, dict) \
+            and not isinstance(meta.get("summary") or {}, dict):
+        problems.append("header meta 'summary' is not an object")
+    totals = header.get("check_totals")
+    for kind, pair in (totals.items() if isinstance(totals, dict)
+                       else ()):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(type(v) is int for v in pair)):
+            problems.append(f"header check_totals[{kind!r}] is not a "
+                            f"[count, cycles] pair")
     stored = header.get("stored")
     if stored is not None and stored != len(records):
         problems.append(

@@ -23,11 +23,12 @@ Two families, exactly as in the paper's introduction:
 
 Performance notes (see ``docs/PERFORMANCE.md``): the per-check cost
 constants are hoisted into instance attributes at construction, and all
-instrumentation (histograms, per-site profile attribution, detail trace
-events) sits behind ``self._observe`` — a flag computed once from
-whether the run's tracer/metrics/profile sinks actually record
-anything.  A benchmark run with ``instrument=False`` therefore pays
-only the counter increments that the run summary itself needs.
+instrumentation (histograms, per-site profile attribution) sits behind
+``self._observe`` — a flag computed once from whether the run's
+metrics/profile sinks actually record anything; flight records sit
+behind ``self._rec is not None``.  A benchmark run with
+``instrument=False`` therefore pays only the counter increments that
+the run summary itself needs.
 """
 
 from __future__ import annotations
@@ -63,8 +64,7 @@ class CheckEngine:
         # unless every sink is a null implementation, in which case the
         # whole instrumentation block is skipped (`repro bench` path)
         metrics = stats.metrics
-        self._observe = not (metrics.null and stats.tracer.null
-                             and stats.profile.null)
+        self._observe = not (metrics.null and stats.profile.null)
         #: flight recorder (None when post-mortem recording is off):
         #: records every check performed, and — the other half of the
         #: Figure 12 ledger — every check the static path *elided*,
@@ -112,13 +112,6 @@ class CheckEngine:
                 self._h_assign.observe(cycles)
                 stats.profile.record_check(line, target_area.name,
                                            cycles)
-                tracer = stats.tracer
-                if tracer.detailed:
-                    tracer.emit_detail(
-                        "check-assign", target_area.name,
-                        cycle=stats.cycles, thread=thread,
-                        attrs={"cycles": cycles, "depth": depth,
-                               "line": line})
             if rec is not None:
                 rec.record("check-assign", target_area.name,
                            cycle=stats.cycles, thread=thread,
@@ -194,12 +187,6 @@ class CheckEngine:
             if self._observe:
                 self._h_read.observe(cycles)
                 stats.profile.record_check(line, "<read-check>", cycles)
-                tracer = stats.tracer
-                if tracer.detailed:
-                    tracer.emit_detail(
-                        "check-read", thread, cycle=stats.cycles,
-                        thread=thread,
-                        attrs={"cycles": cycles, "line": line})
             if rec is not None:
                 rec.record("check-read", thread, cycle=stats.cycles,
                            thread=thread,

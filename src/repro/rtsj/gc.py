@@ -90,15 +90,6 @@ class GarbageCollector:
             # pause; RT threads stay unpaused — the latency histogram
             # asserts the paper's claim survives the spike.
             pause *= injector.plan.params["gc_spike_factor"]
-            self.stats.tracer.emit(
-                "fault-injected", "gc_pause_spike",
-                cycle=self.stats.cycles, thread="<gc>",
-                attrs={"site": "gc_pause_spike", "pause": pause})
-        self.stats.tracer.emit(
-            "gc", f"collected {dead}, live {len(live)}",
-            cycle=self.stats.cycles, thread="<gc>",
-            attrs={"collected": dead, "live": len(live), "pause": pause,
-                   "heap_bytes": heap.bytes_used})
         rec = self.stats.recorder
         if rec is not None:
             rec.record("gc", f"collected {dead}",

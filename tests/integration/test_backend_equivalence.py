@@ -256,7 +256,7 @@ class TestRouting:
         assert machine.program is None
         assert machine.codegen_fallback.endswith(
             "; py unavailable (instrumented run)")
-        assert not result.stats.tracer.null
+        assert not result.stats.metrics.null
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,20 @@ class TestRun:
         assert "runtime error" in err
 
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--record-capacity", "0"), ("--record-capacity", "-5"),
+        ("--record-sample", "0"), ("--record-sample", "every")])
+    def test_rejects_out_of_range_recorder_options(self, good_file,
+                                                   tmp_path, flag, value):
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(["run", good_file, "--record-out",
+                  str(tmp_path / "f.jsonl"), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be an integer >= 1" \
+            in err.getvalue()
+
+
 class TestTranslate:
     def test_emits_java(self, good_file):
         code, out, _err = run_cli("translate", good_file)

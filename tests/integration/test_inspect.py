@@ -232,6 +232,46 @@ class TestInspectCLI:
         assert "invalid fault schedule:" in err
         assert "serve schedule" in err
 
+    @staticmethod
+    def _malform(lines, how):
+        """One structural defect in an otherwise valid dump."""
+        header, records = lines[0], lines[1:]
+        if how == "header-array":
+            header = "[1, 2]"
+        elif how == "record-array":
+            records[0] = "[1, 2]"
+        elif how == "attrs-array":
+            first = json.loads(records[0])
+            first["attrs"] = [1]
+            records[0] = json.dumps(first)
+        elif how == "check-totals-string":
+            data = json.loads(header)
+            data["check_totals"] = "abc"
+            header = json.dumps(data)
+        else:  # id-overflow
+            first = json.loads(records[0])
+            records[0] = json.dumps(first).replace(
+                f'"id": {first["id"]}', '"id": 1e400')
+        return "\n".join([header] + records) + "\n"
+
+    @pytest.mark.parametrize("role", ["dump", "compare"])
+    @pytest.mark.parametrize("how", [
+        "header-array", "record-array", "attrs-array",
+        "check-totals-string", "id-overflow"])
+    def test_malformed_dump_exits_1(self, dumps, tmp_path, how, role):
+        dyn, sta = dumps
+        bad = tmp_path / "bad.flight.jsonl"
+        bad.write_text(self._malform(dyn.read_text().splitlines(), how))
+        if role == "dump":
+            code, _, err = run_cli("inspect", str(bad))
+            prefix = "invalid flight record: "
+        else:
+            code, _, err = run_cli("inspect", str(sta),
+                                   "--compare", str(bad))
+            prefix = "invalid flight record (--compare): "
+        assert code == 1
+        assert err.startswith(prefix), err
+
     def test_tampered_summary_exits_2(self, dumps, tmp_path):
         dyn, _ = dumps
         lines = dyn.read_text().splitlines()
@@ -282,6 +322,32 @@ class TestChaosFlightDump:
         assert all(j["matched"] for j in joins)
         assert any(j["outcome"].startswith(("recovered", "crashed"))
                    for j in joins)
+
+    def test_violation_seed_dump_records_the_violation(self, tmp_path,
+                                                       monkeypatch):
+        # a well-typed program never trips the sanitizer, so corrupt
+        # the region forest right before the end-of-run sweep
+        from repro.rtsj.sanitizer import RegionSanitizer
+        original = RegionSanitizer.on_end
+
+        def corrupt_then_sweep(self):
+            area = self.regions.live_areas()[-1]
+            area.ancestor_ids.add(area.area_id)
+            original(self)
+
+        monkeypatch.setattr(RegionSanitizer, "on_end", corrupt_then_sweep)
+        report = run_chaos(
+            [("pc", PRODUCER_CONSUMER_SOURCE)], seeds=[0],
+            rate=0.0, verify=False, schedule_dir=str(tmp_path))
+        entry = report["results"][0]
+        assert entry["status"] == "violation"
+        header, records = load_flight(entry["flight"])
+        assert validate_flight(header, records) == []
+        last = records[-1]
+        assert last.kind == "sanitizer-violation"
+        assert last.attrs["invariant"] == "O1-forest"
+        assert last.attrs["checkpoint"] == "end"
+        assert header["kind_counts"]["sanitizer-violation"] == 1
 
     def test_clean_run_dumps_no_flight(self, tmp_path):
         report = run_chaos(

@@ -80,8 +80,8 @@ def test_uninstrumented_run_records_nothing():
     result = run_source(analyzed, RunOptions(validate=False,
                                              instrument=False))
     stats = result.stats
-    assert stats.tracer.null and stats.metrics.null and stats.profile.null
-    assert stats.tracer.records == []
+    assert stats.metrics.null and stats.profile.null
+    assert stats.recorder is None
     assert stats.metrics.to_dict() == {}
     assert stats.profile.alloc_sites == {}
     assert stats.profile.check_sites == {}
@@ -92,8 +92,8 @@ def test_uninstrumented_run_records_nothing():
 def test_instrumented_run_still_records_by_default():
     analyzed = analyze(BENCHMARKS["Tree"].source(fast=True))
     result = run_source(analyzed, RunOptions(validate=False))
-    assert not result.stats.tracer.null
-    assert result.stats.tracer.records  # lifecycle events at minimum
+    assert not result.stats.metrics.null and not result.stats.profile.null
+    assert result.stats.profile.alloc_sites  # per-site attribution
     assert result.stats.metrics.to_dict()  # finalize published gauges
 
 

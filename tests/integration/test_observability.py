@@ -11,7 +11,8 @@ import pytest
 from repro.cli import main
 from repro.core.api import analyze
 from repro.interp.machine import Machine, RunOptions
-from repro.obs import (Tracer, build_report, to_prometheus, trace_lines)
+from repro.obs import (FlightRecorder, build_report, spans_balanced,
+                       to_prometheus, trace_lines)
 
 #: a producer/consumer-style program (Figure 8 shape): two threads
 #: hand frames through an LT subregion with a typed portal field
@@ -72,41 +73,47 @@ class Consumer<BufRegion r> {
 
 @pytest.fixture(scope="module")
 def traced_machine():
-    tracer = Tracer(detailed=True)
-    analyzed = analyze(PROGRAM, tracer=tracer).require_well_typed()
+    """A recorded run plus its ``--trace-out`` view (``machine.trace``:
+    the parsed trace lines)."""
+    analyzed = analyze(PROGRAM).require_well_typed()
     machine = Machine(analyzed, RunOptions(checks_enabled=True,
-                                           tracer=tracer, quantum=300))
+                                           record=True, quantum=300))
     machine.run()
+    machine.trace = [json.loads(line) for line in
+                     trace_lines(machine.recorder, analyzed.phase_seconds)]
     return machine
+
+
+def _kinds(trace):
+    out = {}
+    for event in trace:
+        out[event["kind"]] = out.get(event["kind"], 0) + 1
+    return out
 
 
 class TestTraceIntegration:
     def test_jsonl_trace_parses(self, traced_machine):
-        lines = list(trace_lines(traced_machine.stats.tracer))
-        assert len(lines) > 20
-        for line in lines:
-            record = json.loads(line)
+        assert len(traced_machine.trace) > 20
+        for record in traced_machine.trace:
             assert {"cycle", "kind", "ph", "subject",
                     "thread"} <= set(record)
 
     def test_region_spans_nest(self, traced_machine):
-        tracer = traced_machine.stats.tracer
-        assert tracer.spans_balanced()
-        kinds = tracer.kinds()
+        assert spans_balanced(traced_machine.trace)
+        kinds = _kinds(traced_machine.trace)
         assert kinds["region-enter"] == kinds["region-exit"]
         assert kinds["region-enter"] >= 6  # >= one per handoff attempt
 
     def test_detailed_kinds_recorded(self, traced_machine):
-        kinds = traced_machine.stats.tracer.kinds()
+        kinds = _kinds(traced_machine.trace)
         for kind in ("alloc", "check-assign", "region-created",
                      "thread-spawned", "thread-finished",
                      "checker-phase"):
             assert kinds.get(kind), f"missing '{kind}' events"
 
     def test_events_carry_thread_attribution(self, traced_machine):
-        threads = {e.thread
-                   for e in traced_machine.stats.tracer.records
-                   if e.kind == "region-enter"}
+        threads = {e["thread"] for e in traced_machine.trace
+                   if e["kind"] == "region-enter"}
         assert "thread-1" in threads and "thread-2" in threads
 
     def test_events_between_is_time_ordered(self, traced_machine):
@@ -117,13 +124,13 @@ class TestTraceIntegration:
         cycles = [cycle for cycle, _k, _s in events]
         assert cycles == sorted(cycles)
 
-    def test_detail_off_by_default(self):
+    def test_recording_off_by_default(self):
+        from repro.tools.timeline import event_counts
         machine = Machine(analyze(PROGRAM).require_well_typed(),
                           RunOptions(quantum=300))
         machine.run()
-        kinds = machine.stats.tracer.kinds()
-        assert "alloc" not in kinds and "region-enter" not in kinds
-        assert kinds["region-flushed"] >= 1  # lifecycle still traced
+        assert machine.recorder is None
+        assert event_counts(machine.stats) == {}
 
 
 class TestMetricsIntegration:
@@ -221,6 +228,36 @@ class TestCli:
         assert "repro_gc_pause_cycles" in text
         assert "repro_region_peak_bytes" in text
 
+    def test_trace_is_a_view_of_the_flight_record(self, program_file,
+                                                  tmp_path):
+        trace, dump = tmp_path / "t.jsonl", tmp_path / "f.jsonl"
+        code, _out, _err = run_cli(
+            "run", program_file, "--dynamic-checks",
+            "--trace-out", str(trace), "--record-out", str(dump),
+            "--record-capacity", "8")
+        assert code == 0
+        events = [json.loads(line)
+                  for line in trace.read_text().splitlines()]
+        header, *records = [json.loads(line)
+                            for line in dump.read_text().splitlines()]
+        assert header["dropped"] > 0
+        assert spans_balanced(events)
+        assert events[-1]["kind"] == "trace-truncated"
+        assert events[-1]["attrs"]["dropped"] == header["dropped"]
+        # the trace replays the surviving records in order, dropping
+        # only region exits whose entry the ring evicted
+        viewed = [(e["cycle"], e["kind"], e["subject"]) for e in events
+                  if e["thread"] not in ("<checker>", "<recorder>")]
+        skipped, i = [], 0
+        for r in records:
+            if i < len(viewed) and viewed[i] == (r["cycle"], r["kind"],
+                                                 r["subject"]):
+                i += 1
+            else:
+                skipped.append(r["kind"])
+        assert i == len(viewed)
+        assert set(skipped) <= {"region-exit"}
+
     def test_stats_json(self, program_file):
         code, out, _err = run_cli("run", program_file, "--stats-json")
         assert code == 0
@@ -282,19 +319,19 @@ class TestTimelineCoverage:
         # every mark in the legend comes from the table — patch in a
         # kind and it shows up without touching the renderer
         stats_machine = Machine(analyze(PROGRAM).require_well_typed(),
-                                RunOptions(quantum=300))
+                                RunOptions(quantum=300, record=True))
         stats_machine.run()
         text = timeline.render_timeline(stats_machine.stats)
-        for kind in stats_machine.stats.tracer.kinds():
+        for kind in stats_machine.recorder.kinds():
             mark, desc = timeline.MARKS[kind]
             assert desc in text
 
     def test_unknown_kind_gets_fallback_mark_and_legend(self):
         from repro.rtsj.stats import Stats
         from repro.tools.timeline import UNKNOWN_MARK, render_timeline
-        stats = Stats()
+        stats = Stats(recorder=FlightRecorder())
         stats.cycles = 10
-        stats.tracer.emit("mystery-kind", "x", cycle=10)
+        stats.recorder.record("mystery-kind", "x", cycle=10)
         text = render_timeline(stats)
         assert UNKNOWN_MARK in text
         assert "other" in text

@@ -71,10 +71,10 @@ class TestSamplingCycleNeutrality:
 
     def test_sampled_recording_is_cycle_neutral(self):
         plain = self._cycles()
-        recorded = self._cycles(record=True, record_sample=8)
-        traced = self._cycles(trace_detail=True, trace_sample=8)
+        sampled = self._cycles(record=True, record_sample=8)
+        recorded = self._cycles(record=True)
+        assert sampled == plain
         assert recorded == plain
-        assert traced == plain
 
     def test_sampled_recorder_keeps_exact_check_totals(self):
         analyzed = analyze(PROGRAM)
@@ -99,8 +99,8 @@ class TestSamplingCycleNeutrality:
         from repro.obs import to_prometheus
         text = to_prometheus(machine.stats.metrics)
         assert 'repro_observability_overhead_seconds{' \
-               'component="tracer"}' in text
-        assert 'component="flightrec"' in text
+               'component="flightrec"}' in text
+        assert 'component="tracer"' not in text  # one event store
         assert 'repro_flight_events{disposition="seen"}' in text
 
 
@@ -110,9 +110,15 @@ class TestTelemetryCli:
         code, _out, err = run_cli(
             "run", program_file, "--dynamic-checks",
             "--record-out", str(tmp_path / "f.jsonl"),
-            "--record-sample", "4", "--trace-sample", "4",
+            "--trace-out", str(tmp_path / "t.jsonl"),
+            "--record-sample", "4",
             "--telemetry-store", store_dir)
         assert code == 0
+        # the trace is a view of the same sampled recorder
+        marker = json.loads(
+            (tmp_path / "t.jsonl").read_text().splitlines()[-1])
+        assert marker["kind"] == "trace-sampled"
+        assert marker["attrs"]["sample"] == 4
         assert "telemetry: recorded run envelope" in err
         store = TelemetryStore(store_dir)
         assert store.validate() == []

@@ -115,7 +115,7 @@ class Worker<Buf r> {
     @pytest.fixture
     def machine(self):
         m = Machine(analyze(self.PROGRAM).require_well_typed(),
-                    RunOptions(quantum=300))
+                    RunOptions(quantum=300, record=True))
         m.run()
         return m
 
@@ -123,7 +123,7 @@ class Worker<Buf r> {
         counts = event_counts(machine.stats)
         assert counts["region-created"] >= 2   # Buf + its LT subregion
         assert counts["region-flushed"] == 3   # one flush per iteration
-        assert counts["thread-spawned"] == 1
+        assert counts["thread-spawned"] == 2   # main + worker
         assert counts["thread-finished"] == 2  # main + worker
         assert counts["region-destroyed"] >= 1
 
@@ -146,7 +146,7 @@ class Worker<Buf r> {
     def test_events_between(self, machine):
         window = events_between(machine.stats, 0, machine.stats.cycles)
         assert window == [(e.cycle, e.kind, e.subject)
-                          for e in machine.stats.tracer.records]
+                          for e in machine.recorder.records()]
         assert events_between(machine.stats, -1, -1) == []
 
     def test_empty_timeline(self):

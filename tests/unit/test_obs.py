@@ -1,93 +1,144 @@
-"""Unit tests for the observability layer: tracer semantics, metric
-instrument math, and exporter formats."""
+"""Unit tests for the observability layer: the trace view of the
+flight record, metric instrument math, and exporter formats."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.obs import (BEGIN, END, INSTANT, MetricsRegistry,
-                       ProfileCollector, Tracer, to_prometheus,
-                       trace_lines)
+from repro.interp.machine import RunOptions, run_source
+from repro.obs import (FlightRecorder, MetricsRegistry, ProfileCollector,
+                       spans_balanced, to_prometheus, trace_lines)
 from repro.obs.profile import build_report
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from conftest import TSTACK_SOURCE  # noqa: E402
 
-class TestTracer:
-    def test_emit_records_in_order(self):
-        tracer = Tracer()
-        tracer.emit("a", "x", cycle=1)
-        tracer.emit("b", "y", cycle=5, thread="t1")
-        assert [(e.cycle, e.kind, e.subject) for e in tracer.records] \
+
+def _trace(recorder, phase_seconds=None):
+    return [json.loads(line)
+            for line in trace_lines(recorder, phase_seconds)]
+
+
+def _enter(recorder, subject, cycle, thread="main"):
+    recorder.push("region-enter", subject, cycle=cycle, thread=thread)
+
+
+def _exit(recorder, subject, cycle, thread="main"):
+    recorder.pop("region-exit", subject, cycle=cycle, thread=thread)
+
+
+class TestTraceProjection:
+    """``trace_lines``: the ``--trace-out`` view of a flight record."""
+
+    def test_records_in_order(self):
+        recorder = FlightRecorder()
+        recorder.record("a", "x", cycle=1)
+        recorder.record("b", "y", cycle=5, thread="t1")
+        lines = _trace(recorder)
+        assert [(e["cycle"], e["kind"], e["subject"]) for e in lines] \
             == [(1, "a", "x"), (5, "b", "y")]
-        assert tracer.records[1].thread == "t1"
+        assert lines[1]["thread"] == "t1"
 
-    def test_detail_gated_by_flag(self):
-        tracer = Tracer()
-        tracer.emit_detail("alloc", "x", cycle=1)
-        assert tracer.records == []
-        tracer.detailed = True
-        tracer.emit_detail("alloc", "x", cycle=1)
-        assert len(tracer.records) == 1
+    def test_checker_phases_lead_the_trace(self):
+        recorder = FlightRecorder()
+        recorder.record("gc", "run", cycle=3)
+        lines = _trace(recorder, {"parse": 0.5, "classes": 0.25})
+        assert [(e["kind"], e["subject"], e["thread"], e["cycle"])
+                for e in lines[:2]] == [
+            ("checker-phase", "parse", "<checker>", 0),
+            ("checker-phase", "classes", "<checker>", 0)]
+        assert lines[0]["attrs"] == {"seconds": 0.5}
+        assert lines[2]["kind"] == "gc"
 
-    def test_close_abandoned_ends_open_spans(self):
-        tracer = Tracer(detailed=True)
-        tracer.begin("region-enter", "r1", cycle=1, thread="t1")
-        tracer.begin("region-enter", "r1.sub", cycle=2, thread="t1")
-        closed = tracer.close_abandoned("t1", cycle=9)
-        assert closed == 2
-        ends = [e for e in tracer.records if e.phase == "E"]
-        assert [e.subject for e in ends] == ["r1.sub", "r1"]
-        assert all(e.kind == "region-exit" for e in ends)
-        assert all((e.attrs or {}).get("aborted") for e in ends)
-        # idempotent: nothing left open
-        assert tracer.close_abandoned("t1", cycle=9) == 0
+    def test_aborted_thread_spans_closed(self):
+        recorder = FlightRecorder()
+        _enter(recorder, "r1", 1, "t1")
+        _enter(recorder, "r1.sub", 2, "t1")
+        recorder.record("thread-aborted", "t1", cycle=9, thread="t1")
+        lines = _trace(recorder)
+        ends = [e for e in lines if e["ph"] == "E"]
+        assert [e["subject"] for e in ends] == ["r1.sub", "r1"]
+        assert all(e["kind"] == "region-exit" for e in ends)
+        assert all(e["attrs"] == {"aborted": True} for e in ends)
+        assert all(e["cycle"] == 9 for e in ends)
+        # closed before the abort line, so the abort ends the thread
+        assert lines[-1]["kind"] == "thread-aborted"
+        assert spans_balanced(lines)
 
-    def test_max_records_drops_and_counts(self):
-        tracer = Tracer(max_records=2)
-        for i in range(5):
-            tracer.emit("k", str(i), cycle=i)
-        assert len(tracer.records) == 2
-        assert tracer.dropped == 3
+    def test_spans_left_open_closed_at_trace_end(self):
+        recorder = FlightRecorder()
+        _enter(recorder, "r", 4)
+        recorder.record("alloc", "C -> r", cycle=6)
+        lines = _trace(recorder)
+        assert lines[-1]["ph"] == "E" and lines[-1]["cycle"] == 6
+        assert lines[-1]["attrs"] == {"aborted": True}
+        assert spans_balanced(lines)
+
+    def test_evicted_begin_drops_its_end(self):
+        recorder = FlightRecorder(capacity=3)
+        _enter(recorder, "outer", 1)
+        _enter(recorder, "inner", 2)
+        _exit(recorder, "inner", 3)
+        _exit(recorder, "outer", 4)   # evicts the outer region-enter
+        lines = _trace(recorder)
+        assert [(e["ph"], e["subject"]) for e in lines[:2]] \
+            == [("B", "inner"), ("E", "inner")]
+        assert lines[-1]["kind"] == "trace-truncated"
+        assert spans_balanced(lines)
 
     def test_spans_balanced(self):
-        tracer = Tracer(detailed=True)
-        tracer.begin("region-enter", "r", cycle=1)
-        tracer.begin("region-enter", "r.b", cycle=2)
-        tracer.end("region-exit", "r.b", cycle=3)
-        tracer.end("region-exit", "r", cycle=4)
-        assert tracer.spans_balanced()
+        recorder = FlightRecorder()
+        _enter(recorder, "r", 1)
+        _enter(recorder, "r.b", 2)
+        _exit(recorder, "r.b", 3)
+        _exit(recorder, "r", 4)
+        assert spans_balanced(_trace(recorder))
 
     def test_spans_unbalanced_on_crossed_ends(self):
-        tracer = Tracer(detailed=True)
-        tracer.begin("region-enter", "a", cycle=1)
-        tracer.begin("region-enter", "b", cycle=2)
-        tracer.end("region-exit", "a", cycle=3)
-        assert not tracer.spans_balanced()
+        recorder = FlightRecorder()
+        _enter(recorder, "a", 1)
+        _enter(recorder, "b", 2)
+        _exit(recorder, "a", 3)
+        lines = _trace(recorder)
+        assert not spans_balanced(lines)
+        assert not spans_balanced(lines[:-1])  # "a" never ended
 
     def test_spans_per_thread(self):
-        tracer = Tracer(detailed=True)
-        tracer.begin("region-enter", "a", cycle=1, thread="t1")
-        tracer.begin("region-enter", "b", cycle=2, thread="t2")
-        tracer.end("region-exit", "a", cycle=3, thread="t1")
-        tracer.end("region-exit", "b", cycle=4, thread="t2")
-        assert tracer.spans_balanced()
+        recorder = FlightRecorder()
+        _enter(recorder, "a", 1, "t1")
+        _enter(recorder, "b", 2, "t2")
+        _exit(recorder, "a", 3, "t1")
+        _exit(recorder, "b", 4, "t2")
+        assert spans_balanced(_trace(recorder))
 
     def test_trace_lines_are_json(self):
-        tracer = Tracer()
-        tracer.emit("gc", "run", cycle=7, attrs={"pause": 2000})
-        lines = list(trace_lines(tracer))
+        recorder = FlightRecorder()
+        recorder.record("gc", "run", cycle=7, attrs={"pause": 2000})
+        lines = list(trace_lines(recorder))
         assert len(lines) == 1
-        record = json.loads(lines[0])
-        assert record == {"cycle": 7, "kind": "gc", "ph": INSTANT,
-                          "subject": "run", "thread": "main",
-                          "attrs": {"pause": 2000}}
+        assert json.loads(lines[0]) == {
+            "cycle": 7, "kind": "gc", "ph": "i", "subject": "run",
+            "thread": "main", "attrs": {"pause": 2000}}
 
     def test_truncation_marker_line(self):
-        tracer = Tracer(max_records=1)
-        tracer.emit("a", "x")
-        tracer.emit("b", "y")
-        lines = [json.loads(l) for l in trace_lines(tracer)]
+        recorder = FlightRecorder(capacity=1)
+        recorder.record("a", "x")
+        recorder.record("b", "y")
+        lines = _trace(recorder)
+        assert [e["kind"] for e in lines] == ["b", "trace-truncated"]
+        assert lines[-1]["attrs"] == {"dropped": 1, "capacity": 1}
+
+    def test_wrapped_ring_trace_balanced_and_truncated(self):
+        result = run_source(TSTACK_SOURCE,
+                            RunOptions(record=True, record_capacity=8))
+        recorder = result.stats.recorder
+        assert recorder.dropped > 0
+        lines = _trace(recorder)
+        assert spans_balanced(lines)
         assert lines[-1]["kind"] == "trace-truncated"
-        assert lines[-1]["attrs"]["dropped"] == 1
+        assert lines[-1]["attrs"]["dropped"] == recorder.dropped
 
 
 class TestCountersAndGauges:
@@ -433,51 +484,54 @@ class TestLabelCardinalityGuard:
         assert gauge.labels().value == 7
 
 
-class TestTracerSampling:
-    """The tracer's always-on tier: instant detail events thin 1-in-N,
-    spans never sampled, overhead self-measured."""
+class TestTraceSampling:
+    """The recorder's always-on tier, seen through the trace: high-volume
+    records thin 1-in-N, spans and lifecycle never, overhead
+    self-measured."""
 
-    def test_instant_detail_events_sampled(self):
-        tracer = Tracer(detailed=True, sample=4)
+    def test_high_volume_records_sampled(self):
+        recorder = FlightRecorder(sample=4)
         for i in range(10):
-            tracer.emit_detail("check", f"s{i}", cycle=i)
-        stored = [e for e in tracer.records if e.kind == "check"]
+            recorder.record("alloc", f"s{i}", cycle=i)
+        stored = [e for e in _trace(recorder) if e["kind"] == "alloc"]
         assert len(stored) == 3  # events 1, 5, 9
-        assert tracer.sampled_out == 7
+        assert recorder.sampled_out == 7
 
     def test_spans_never_sampled(self):
-        tracer = Tracer(detailed=True, sample=100)
+        recorder = FlightRecorder(sample=100)
         for i in range(5):
-            tracer.begin("region-enter", f"r{i}", cycle=i)
-            tracer.end("region-enter", f"r{i}", cycle=i + 1)
-        assert len(tracer.records) == 10
-        assert tracer.spans_balanced()
-        assert tracer.sampled_out == 0
+            _enter(recorder, f"r{i}", i)
+            _exit(recorder, f"r{i}", i + 1)
+        lines = _trace(recorder)
+        assert len(lines) == 10
+        assert spans_balanced(lines)
+        assert recorder.sampled_out == 0
 
-    def test_lifecycle_emit_never_sampled(self):
-        tracer = Tracer(detailed=True, sample=100)
+    def test_lifecycle_records_never_sampled(self):
+        recorder = FlightRecorder(sample=100)
         for i in range(5):
-            tracer.emit("gc", f"run{i}", cycle=i)
-        assert len(tracer.records) == 5
+            recorder.record("gc", f"run{i}", cycle=i)
+        assert len(_trace(recorder)) == 5
 
     def test_sample_stride_validated(self):
         with pytest.raises(ValueError):
-            Tracer(sample=0)
+            FlightRecorder(sample=0)
 
     def test_trace_lines_appends_sampled_marker(self):
-        tracer = Tracer(detailed=True, sample=2)
+        recorder = FlightRecorder(sample=2)
         for i in range(4):
-            tracer.emit_detail("check", f"s{i}", cycle=i)
-        lines = [json.loads(line) for line in trace_lines(tracer)]
-        marker = [l for l in lines if l["kind"] == "trace-sampled"]
+            recorder.record("check-read", f"s{i}", cycle=i,
+                            attrs={"cycles": 1})
+        marker = [e for e in _trace(recorder)
+                  if e["kind"] == "trace-sampled"]
         assert len(marker) == 1
         assert marker[0]["attrs"] == {"sampled_out": 2, "sample": 2}
 
     def test_overhead_accumulates(self):
-        tracer = Tracer()
+        recorder = FlightRecorder()
         for i in range(200):
-            tracer.emit("a", f"x{i}", cycle=i)
-        assert tracer.overhead_s > 0.0
+            recorder.record("a", f"x{i}", cycle=i)
+        assert recorder.overhead_s > 0.0
 
 
 class TestParsePrometheus:
